@@ -226,14 +226,15 @@ def cmd_dims(args) -> int:
         "points_used": report.points_used,
         "expected": expected,
         "match": len(basis) == report.rank == expected,
-        "witnesses": [],
+        "stabilized": report.stabilized,
     }
     _emit(
         args,
         payload,
         [
             f"standard basis size: {len(basis)}",
-            f"oracle rank: {report.rank} (points used: {report.points_used})",
+            f"oracle rank: {report.rank} (points used: {report.points_used}, "
+            f"stabilized: {report.stabilized})",
             f"expected r^(n-1): {expected}",
             f"match: {payload['match']}",
         ],

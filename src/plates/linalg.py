@@ -100,13 +100,3 @@ def mat_mul(a: list[list], b: list[list], zero) -> list[list]:
         out.append(new)
     return out
 
-
-def mat_vec(a: list[list], v: list, zero) -> list:
-    out = []
-    for row in a:
-        acc = zero
-        for x, vi in zip(row, v):
-            if x and vi:
-                acc = acc + x * vi
-        out.append(acc)
-    return out

@@ -5,6 +5,11 @@ the closed regions, so every check here happens at *generic* rational points:
 points of the simplex slice where no proper subset of coordinates sums to an
 integer.  Sampling is seeded and exact (fixed prime denominator), so runs are
 reproducible and all linear algebra stays over the rationals.
+
+Every sampled point is a/D with integer numerators a summing to r*D, so a
+plate is evaluated there by integer comparisons against the subset-sums of a
+(see ``_flag_test``); ``core.evaluate`` stays the reference for arbitrary
+rational points.
 """
 
 from __future__ import annotations
@@ -13,14 +18,16 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
-from .core import Plate, evaluate
+from .core import Plate
 from .exactnum import CyclotomicNumber
 from .linalg import Echelon, solve_square
 
 Point = tuple[Fraction, ...]
+FlagTest = tuple[tuple[int, int], ...]
 
 
 class GenericSamplingError(RuntimeError):
@@ -69,22 +76,28 @@ class SamplePlan:
         return (self.n, self.r, self.seed, self.resolved_denominator, self.batch)
 
 
+def _subset_sums(numerators: Sequence[int]) -> list[int]:
+    """sums[mask] is the sum of the numerators whose index bit is set in mask."""
+    sums = [0] * (1 << len(numerators))
+    for mask in range(1, len(sums)):
+        low = mask & (-mask)
+        sums[mask] = sums[mask ^ low] + numerators[low.bit_length() - 1]
+    return sums
+
+
 def _is_generic(numerators: Sequence[int], d: int) -> bool:
     """No proper nonempty subset of a/d coordinates sums to an integer.
 
     Complementary subsets are equivalent (the total is an integer), so only
     subsets containing the first coordinate are checked.
     """
-    n = len(numerators)
-    if n == 1:
-        return True
-    sums = [0] * (1 << n)
-    for mask in range(1, 1 << n):
+    # the subset-sum table of _subset_sums, built in mask order so that most
+    # candidates are rejected after a few masks
+    sums = [0] * (1 << len(numerators))
+    for mask in range(1, len(sums) - 1):
         low = mask & (-mask)
-        sums[mask] = sums[mask ^ low] + numerators[low.bit_length() - 1]
-    full = (1 << n) - 1
-    for mask in range(1, full, 2):  # odd masks contain coordinate 1
-        if sums[mask] % d == 0:
+        s = sums[mask] = sums[mask ^ low] + numerators[low.bit_length() - 1]
+        if mask & 1 and s % d == 0:  # odd masks contain coordinate 1
             return False
     return True
 
@@ -95,8 +108,38 @@ def _seed_int(plan: SamplePlan) -> int:
     return int.from_bytes(hashlib.sha256(tag.encode()).digest()[:8], "big")
 
 
-# one RNG stream and point list per plan, so repeated requests are prefixes
+# one RNG stream and numerator list per plan, so repeated requests are prefixes
 _point_cache: dict = {}
+
+
+def _sample_numerators(plan: SamplePlan, count: int) -> list[tuple[int, ...]]:
+    """Numerators a of the plan's first ``count`` generic points a/D."""
+    d = plan.resolved_denominator
+    total = plan.r * d
+    key = plan.key()
+    entry = _point_cache.get(key)
+    if entry is None:
+        entry = (random.Random(_seed_int(plan)), [])
+        _point_cache[key] = entry
+    rng, numerators = entry
+    while len(numerators) < count:
+        for _ in range(plan.max_tries_per_point):
+            cuts = sorted(rng.randint(0, total) for _ in range(plan.n - 1))
+            bounds = [0] + cuts + [total]
+            nums = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+            if _is_generic(nums, d):
+                break
+        else:
+            raise GenericSamplingError(
+                f"no generic point in {plan.max_tries_per_point} tries for "
+                f"n={plan.n}, r={plan.r}, denominator={d}; use a larger denominator"
+            )
+        numerators.append(nums)
+    return numerators[:count]
+
+
+def _point(numerators: Sequence[int], d: int) -> Point:
+    return tuple(Fraction(a, d) for a in numerators)
 
 
 def sample_generic(plan: SamplePlan, count: int) -> list[Point]:
@@ -106,43 +149,47 @@ def sample_generic(plan: SamplePlan, count: int) -> list[Point]:
     longer ones.
     """
     d = plan.resolved_denominator
-    total = plan.r * d
-    key = plan.key()
-    entry = _point_cache.get(key)
-    if entry is None:
-        entry = (random.Random(_seed_int(plan)), [])
-        _point_cache[key] = entry
-    rng, points = entry
-    while len(points) < count:
-        for _ in range(plan.max_tries_per_point):
-            cuts = sorted(rng.randint(0, total) for _ in range(plan.n - 1))
-            bounds = [0] + cuts + [total]
-            nums = [b - a for a, b in zip(bounds, bounds[1:])]
-            if _is_generic(nums, d):
-                break
-        else:
-            raise GenericSamplingError(
-                f"no generic point in {plan.max_tries_per_point} tries for "
-                f"n={plan.n}, r={plan.r}, denominator={d}; use a larger denominator"
-            )
-        points.append(tuple(Fraction(a, d) for a in nums))
-    return list(points[:count])
+    return [_point(a, d) for a in _sample_numerators(plan, count)]
 
 
-@dataclass(frozen=True)
-class EvaluationMatrix:
-    """Rows indexed by sample points, columns by plates; 0/1 entries."""
-
-    plates: tuple[Plate, ...]
-    points: tuple[Point, ...]
-    rows: tuple[tuple[int, ...], ...]
+# A plate never holds when its total differs from the plan's: sums[0] is 0.
+_NEVER: FlagTest = ((0, 1),)
 
 
-def evaluation_matrix(plates: Sequence[Plate], points: Sequence[Point]) -> EvaluationMatrix:
-    plates = tuple(plates)
-    points = tuple(points)
-    rows = tuple(tuple(evaluate(p, x) for p in plates) for x in points)
-    return EvaluationMatrix(plates, points, rows)
+def _flag_test(p: Plate, plan: SamplePlan) -> FlagTest:
+    """The plate's indicator at the plan's points as integer comparisons.
+
+    At a point a/D the plate holds exactly when sums[mask] >= bound for every
+    (mask, bound) pair, where sums is ``_subset_sums(a)``: one pair per proper
+    prefix of the flag, with the prefix's position sum scaled by D.
+    Coordinates are nonnegative and total r at every sampled point, so that is
+    the whole of ``core.evaluate``.
+    """
+    if p.n != plan.n:
+        raise ValueError(f"point has {plan.n} coordinates, plate has n={p.n}")
+    if p.r != plan.r:
+        return _NEVER
+    d = plan.resolved_denominator
+    mask = bound = 0
+    pairs = []
+    for block, pos in zip(p.blocks[:-1], p.positions[:-1]):
+        for e in block:
+            mask |= 1 << (e - 1)
+        bound += pos
+        pairs.append((mask, bound * d))
+    return tuple(pairs)
+
+
+def _holds(test: FlagTest, sums: list[int]) -> int:
+    for mask, bound in test:
+        if sums[mask] < bound:
+            return 0
+    return 1
+
+
+def _row(tests: Sequence[FlagTest], numerators: Sequence[int]) -> list[int]:
+    sums = _subset_sums(numerators)
+    return [_holds(t, sums) for t in tests]
 
 
 @dataclass
@@ -153,69 +200,164 @@ class RankReport:
 
 
 def rank_report(plates: Sequence[Plate], plan: SamplePlan) -> RankReport:
-    """Exact rank of the sampled evaluation matrix, grown batch by batch until
-    the rank is unchanged for ``stable_window`` consecutive batches."""
+    """Rank over Q of the evaluation matrix at sampled points, grown batch by
+    batch.
+
+    The rank is taken modulo a prime, a lower bound on the rational rank, so
+    full rank is exact and sampling stops there.  Otherwise sampling stops
+    (``stabilized``) once the rank has stayed unchanged for ``stable_window``
+    batches and for at least as many points as were drawn before its last
+    increase, or unstabilized at the point cap.  A rank short of full is then
+    certified over Q (see ``_certified_rank``).
+    """
     plates = list(plates)
     if not plates:
         return RankReport(0, 0, True)
     n, r = plates[0].n, plates[0].r
     if any(p.n != n or p.r != r for p in plates):
         raise ValueError("all plates must share n and r")
+    tests = [_flag_test(p, plan) for p in plates]
+    width = len(tests)
     cap = plan.max_points_factor * (r ** (n - 1))
-    ech = Echelon(len(plates))
+    ech = _ModEchelon(width)
+    # points in one chamber give equal rows, and most sampled rows repeat
+    distinct: set[bytes] = set()
     used = 0
     stable = 0
-    last = -1
+    grown_at = 0  # points drawn up to the end of the batch of the last increase
+    stabilized = False
     while used < cap:
         take = min(plan.batch, cap - used)
-        pts = sample_generic(plan, used + take)[used:]
-        for x in pts:
-            ech.add_row([Fraction(evaluate(p, x)) for p in plates])
-        used += take
-        if ech.rank == last:
-            stable += 1
-            if stable >= plan.stable_window:
-                return RankReport(ech.rank, used, True)
-        else:
-            stable = 0
-            last = ech.rank
-    return RankReport(ech.rank, used, False)
+        before = ech.rank
+        for a in _sample_numerators(plan, used + take)[used:]:
+            used += 1
+            row = _row(tests, a)
+            key = bytes(row)
+            if key in distinct:
+                continue
+            distinct.add(key)
+            if ech.add_row(row) and ech.rank == width:
+                return RankReport(width, used, True)
+        if ech.rank > before:
+            stable, grown_at = 0, used
+            continue
+        stable += 1
+        if stable >= plan.stable_window and used >= 2 * grown_at:
+            stabilized = True
+            break
+    return RankReport(_certified_rank(ech, distinct), used, stabilized)
 
 
 def rank_of_span(plates: Sequence[Plate], plan: SamplePlan) -> int:
     return rank_report(plates, plan).rank
 
 
-# cached square solver per (basis, plan): points with independent basis rows
-_solver_cache: dict = {}
-
-# Internal acceleration: solves run modulo a fixed prime with rational
-# reconstruction, then every answer is certified by exact integer arithmetic
-# on the full system (with a pure-Fraction fallback).  Nothing inexact can
-# escape: a nonzero determinant mod P implies exact invertibility, and the
-# reconstructed coefficients are only returned after exact validation.
+# Internal acceleration: ranks and solves run modulo a fixed prime, and every
+# answer is made exact before it is returned.  A rank mod P is a lower bound
+# on the rational rank; a short rank is certified by a rational kernel that
+# annihilates every sampled row in exact integer arithmetic.  A nonzero
+# determinant mod P implies exact invertibility, and reconstructed solve
+# coefficients are only returned after exact validation.  Either certificate
+# falls back to pure-Fraction elimination when it fails.
 _P = (1 << 61) - 1  # Mersenne prime
 
 
 class _ModEchelon:
+    """Reduced row-echelon form mod P, grown one row at a time: each row has a
+    leading 1 at its pivot column and vanishes at every other pivot column."""
+
     def __init__(self, width: int) -> None:
         self.width = width
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
 
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
     def add_row(self, row: list[int]) -> bool:
-        row = [v % _P for v in row]
+        """Insert a row; returns True when it enlarges the span mod P."""
+        # the rows are reduced, so the row's own entries at the pivot columns
+        # are the multiples of each pivot row to subtract
+        coeffs, picked = [], []
         for prow, pcol in zip(self.rows, self.pivots):
-            c = row[pcol]
-            if c:
-                row = [(a - c * b) % _P for a, b in zip(row, prow)]
+            if row[pcol] % _P:
+                coeffs.append(row[pcol])
+                picked.append(prow)
+        if picked:
+            row = [(v - sum(map(mul, coeffs, col))) % _P for v, col in zip(row, zip(*picked))]
+        else:
+            row = [v % _P for v in row]
         for col, val in enumerate(row):
             if val:
                 inv = pow(val, -1, _P)
-                self.rows.append([a * inv % _P for a in row])
+                new = [a * inv % _P for a in row]
+                for i, prow in enumerate(self.rows):
+                    c = prow[col]
+                    if c:
+                        self.rows[i] = [(a - c * b) % _P for a, b in zip(prow, new)]
+                self.rows.append(new)
                 self.pivots.append(col)
                 return True
         return False
+
+    def kernel(self) -> list[list[int]]:
+        """A basis of the null space mod P of the rows, one vector per
+        non-pivot column f, with 1 at f and 0 at the other non-pivot columns."""
+        pivots = set(self.pivots)
+        basis = []
+        for f in range(self.width):
+            if f in pivots:
+                continue
+            vec = [0] * self.width
+            vec[f] = 1
+            for row, pcol in zip(self.rows, self.pivots):
+                vec[pcol] = -row[f] % _P
+            basis.append(vec)
+        return basis
+
+
+def _common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(L, [v * L]) for the least common denominator L of the values."""
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [int(v * scale) for v in values]
+
+
+def _rational_kernel(ech: _ModEchelon) -> list[list[int]] | None:
+    """The kernel basis of ``ech`` lifted to Q by rational reconstruction and
+    scaled to integer vectors; None when some entry does not reconstruct."""
+    out = []
+    for vec in ech.kernel():
+        lifted = []
+        for v in vec:
+            rec = _rational_reconstruct(v)
+            if rec is None:
+                return None
+            lifted.append(rec)
+        out.append(_common_denominator(lifted)[1])
+    return out
+
+
+def _certified_rank(ech: _ModEchelon, rows: Iterable[bytes]) -> int:
+    """Exact rational rank of 0/1 rows, given their echelon form mod P.
+
+    The lifted kernel vectors are independent over Q (a unit at each
+    non-pivot column), so if every row annihilates them all the rational rank
+    is at most the rank mod P, hence equal to it.  When the lift or the check
+    fails, the rows are eliminated over Fraction instead.
+    """
+    kernel = _rational_kernel(ech)
+    if kernel is not None and all(_annihilates(kernel, row) for row in rows):
+        return ech.rank
+    exact = Echelon(ech.width)
+    for row in rows:
+        exact.add_row([Fraction(v) for v in row])
+    return exact.rank
+
+
+def _annihilates(kernel: list[list[int]], row: bytes) -> bool:
+    support = [j for j, v in enumerate(row) if v]
+    return not any(sum(vec[j] for j in support) for vec in kernel)
 
 
 def _mod_invert(matrix: list[list[int]]) -> list[list[int]] | None:
@@ -254,13 +396,19 @@ def _rational_reconstruct(c: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
+# cached square solver per (basis, plan): points with independent basis rows
+_solver_cache: dict = {}
+
+
 class _BasisSolver:
     def __init__(self, basis: tuple[Plate, ...], plan: SamplePlan) -> None:
         dim = len(basis)
         n, r = basis[0].n, basis[0].r
         cap = plan.max_points_factor * max(dim, r ** (n - 1))
+        tests = [_flag_test(p, plan) for p in basis]
         ech = _ModEchelon(dim)
-        chosen: list[Point] = []
+        chosen: list[int] = []  # indices of points with independent basis rows
+        matrix: list[list[int]] = []
         used = 0
         while len(chosen) < dim:
             if used >= cap:
@@ -269,20 +417,24 @@ class _BasisSolver:
                     f"within {used} points; the plate list is a.e. dependent"
                 )
             take = min(plan.batch, cap - used)
-            pts = sample_generic(plan, used + take)[used:]
-            for x in pts:
-                if ech.add_row([evaluate(p, x) for p in basis]):
-                    chosen.append(x)
+            for i, a in enumerate(_sample_numerators(plan, used + take)[used:], used):
+                row = _row(tests, a)
+                if ech.add_row(row):
+                    chosen.append(i)
+                    matrix.append(row)
                     if len(chosen) == dim:
                         break
             used += take
-        self.basis = basis
         self.plan = plan
-        self.points = chosen
-        self.matrix = [[evaluate(p, x) for p in basis] for x in chosen]
-        self.mod_inverse = _mod_invert(self.matrix)
-        # every sampled point participates in validation, plus a fresh batch
-        self.check_points = sample_generic(plan, used + plan.batch)
+        self.matrix = matrix
+        self.mod_inverse = _mod_invert(matrix)
+        # every sampled point participates in validation, plus a fresh batch;
+        # each keeps its subset-sum table (for targets) and basis support
+        self.fit_points = chosen
+        self.checks = []
+        for a in _sample_numerators(plan, used + plan.batch):
+            sums = _subset_sums(a)
+            self.checks.append((a, sums, [j for j, t in enumerate(tests) if _holds(t, sums)]))
 
     def _solve_fast(self, rhs: list[int]) -> list[Fraction] | None:
         if self.mod_inverse is None:
@@ -298,13 +450,15 @@ class _BasisSolver:
                 return None
             coeffs.append(rec)
         # exact certification on the fitted system
+        scale, scaled = _common_denominator(coeffs)
         for row, want in zip(self.matrix, rhs):
-            if sum(c * a for c, a in zip(coeffs, row) if a) != want:
+            if sum(s for s, a in zip(scaled, row) if a) != scale * want:
                 return None
         return coeffs
 
     def solve(self, target: Plate) -> list[Fraction]:
-        rhs = [evaluate(target, x) for x in self.points]
+        test = _flag_test(target, self.plan)
+        rhs = [_holds(test, self.checks[i][1]) for i in self.fit_points]
         coeffs = self._solve_fast(rhs)
         if coeffs is None:
             coeffs = solve_square(
@@ -312,11 +466,10 @@ class _BasisSolver:
                 [Fraction(v) for v in rhs],
             )
             assert coeffs is not None, "chosen rows are independent by construction"
-        for x in self.check_points:
-            predicted = sum(
-                c * evaluate(p, x) for c, p in zip(coeffs, self.basis) if c
-            )
-            if predicted != evaluate(target, x):
+        scale, scaled = _common_denominator(coeffs)
+        for a, sums, support in self.checks:
+            if sum(scaled[j] for j in support) != scale * _holds(test, sums):
+                x = _point(a, self.plan.resolved_denominator)
                 raise SpanError(
                     f"target {target} not in almost-everywhere span: point "
                     f"({', '.join(str(v) for v in x)}) disagrees"
@@ -338,32 +491,36 @@ def solve_in_basis(target: Plate, basis: Sequence[Plate], plan: SamplePlan) -> l
     return solver.solve(target)
 
 
-def _combination_terms(side) -> list[tuple[object, Plate]]:
-    """Normalize a formal combination: a Plate, a list of (coeff, Plate)
-    pairs, or anything with .items() yielding (Plate, coeff)."""
+def _combination_terms(side, plan: SamplePlan) -> list[tuple[object, FlagTest]]:
+    """Normalize a formal combination (a Plate, a list of (coeff, Plate)
+    pairs, or anything with .items() yielding (Plate, coeff)) into
+    (coeff, flag test) pairs."""
     if isinstance(side, Plate):
-        return [(1, side)]
-    if hasattr(side, "items"):
-        return [(c, p) for p, c in side.items()]
-    return [(c, p) for c, p in side]
+        pairs = [(1, side)]
+    elif hasattr(side, "items"):
+        pairs = [(c, p) for p, c in side.items()]
+    else:
+        pairs = [(c, p) for c, p in side]
+    return [(c, _flag_test(p, plan)) for c, p in pairs]
 
 
 def verify_identity_ae(lhs, rhs, plan: SamplePlan, batches: int | None = None):
     """Check two formal plate combinations agree at every sampled generic
     point (``stable_window`` batches by default).  Returns (ok, witness)."""
-    lterms = _combination_terms(lhs)
-    rterms = _combination_terms(rhs)
+    lterms = _combination_terms(lhs, plan)
+    rterms = _combination_terms(rhs, plan)
     count = plan.batch * (batches if batches is not None else plan.stable_window)
-    for x in sample_generic(plan, count):
-        if _eval_combination(lterms, x) != _eval_combination(rterms, x):
-            return False, x
+    for a in _sample_numerators(plan, count):
+        sums = _subset_sums(a)
+        if _eval_combination(lterms, sums) != _eval_combination(rterms, sums):
+            return False, _point(a, plan.resolved_denominator)
     return True, None
 
 
-def _eval_combination(terms: Iterable[tuple[object, Plate]], x: Point):
+def _eval_combination(terms: Iterable[tuple[object, FlagTest]], sums: list[int]):
     acc = None
-    for coeff, plate in terms:
-        if not evaluate(plate, x):
+    for coeff, test in terms:
+        if not _holds(test, sums):
             continue
         acc = coeff if acc is None else acc + coeff
     if acc is None:

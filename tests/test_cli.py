@@ -78,6 +78,8 @@ def test_dims(capsys):
     assert code == 0
     assert payload["standard_count"] == payload["rank"] == payload["expected"] == 4
     assert payload["match"] is True
+    assert payload["stabilized"] is True
+    assert "witnesses" not in payload
 
 
 def test_qbasis(capsys):

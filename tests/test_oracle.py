@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from plates.core import Plate, all_plates, parse_plate, rotate, standard_basis
+from plates import oracle
+from plates.core import Plate, all_plates, evaluate, parse_plate, rotate, standard_basis
 from plates.oracle import (
     SamplePlan,
     SpanError,
@@ -12,7 +13,11 @@ from plates.oracle import (
     sample_generic,
     solve_in_basis,
     verify_identity_ae,
+    _flag_test,
+    _holds,
     _is_generic,
+    _sample_numerators,
+    _subset_sums,
 )
 
 
@@ -66,6 +71,48 @@ def test_rank_examples():
     assert rank_of_span([p, p], SamplePlan(2, 2)) == 1
     report = rank_report(standard_basis(3, 2), SamplePlan(3, 2))
     assert report.stabilized and report.rank == 4 and report.points_used > 0
+
+
+def test_integer_flag_test_matches_evaluate():
+    for n, r in ((3, 3), (4, 3), (5, 2)):
+        plan = SamplePlan(n, r, seed=3)
+        numerators = _sample_numerators(plan, 20)
+        points = sample_generic(plan, 20)
+        # plates of other totals vanish at every point of the plan
+        for other in (r - 1, r, r + 1):
+            for p in all_plates(n, other):
+                test = _flag_test(p, plan)
+                for a, x in zip(numerators, points):
+                    assert _holds(test, _subset_sums(a)) == evaluate(p, x), (str(p), x)
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_rank_is_exact_under_a_tiny_modulus(monkeypatch, prime):
+    # ranks mod a tiny prime fall short of the rational rank, so every short
+    # rank must come out exact from the kernel certificate or the fallback
+    monkeypatch.setattr(oracle, "_P", prime)
+    fallbacks = []
+
+    class CountingEchelon(oracle.Echelon):
+        def __init__(self, width):
+            fallbacks.append(width)
+            super().__init__(width)
+
+    monkeypatch.setattr(oracle, "Echelon", CountingEchelon)
+    assert rank_of_span(standard_basis(3, 3), SamplePlan(3, 3)) == 9
+    p = parse_plate("[[{1}_1 {2}_1]]")
+    assert rank_of_span([p, p], SamplePlan(2, 2)) == 1
+    assert rank_of_span(list(all_plates(3, 2)), SamplePlan(3, 2)) == 4
+    assert rank_of_span(list(all_plates(4, 2)), SamplePlan(4, 2)) == 8
+    if prime == 2:
+        assert fallbacks  # the GF(2) rank of all plates is short over Q
+
+
+def test_rank_stops_at_full_rank():
+    # three stable batches alone are too few here: rare chambers come late
+    for seed in range(4):
+        report = rank_report(standard_basis(4, 5), SamplePlan(4, 5, seed=seed))
+        assert report.rank == 125 and report.stabilized, seed
 
 
 def test_rank_matches_dimension():
