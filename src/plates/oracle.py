@@ -4,7 +4,7 @@ Identities between plates hold almost everywhere, not on the shared walls of
 the closed regions, so every check here happens at *generic* rational points:
 points of the simplex slice where no proper subset of coordinates sums to an
 integer.  Sampling is seeded and exact (fixed prime denominator), so runs are
-reproducible and all linear algebra stays over the rationals.
+reproducible and every rank and solve returned is exact over the rationals.
 
 Every sampled point is a/D with integer numerators a summing to r*D, so a
 plate is evaluated there by integer comparisons against the subset-sums of a
