@@ -89,7 +89,7 @@ def test_integer_flag_test_matches_evaluate():
 @pytest.mark.parametrize("prime", [2, 3])
 def test_rank_is_exact_under_a_tiny_modulus(monkeypatch, prime):
     # ranks mod a tiny prime fall short of the rational rank, so every short
-    # rank must come out exact from the kernel certificate or the fallback
+    # rank must come out exact from the Fraction fallback
     monkeypatch.setattr(oracle, "_P", prime)
     fallbacks = []
 
