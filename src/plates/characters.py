@@ -1,7 +1,7 @@
 """Symmetric-group characters of the simplex plate modules.
 
 Characters are class functions keyed by cycle type.  The module provides the
-matrix route (action on the standard basis, then traces), the gcd closed
+trace route (diagonal of the action on the standard basis), the gcd closed
 form, Murnaghan-Nakayama irreducible characters, symmetric-power characters,
 and exact multiplicity decomposition.
 """
@@ -93,6 +93,9 @@ class ActionMatrix:
 
 
 def action_matrix(sigma: Permutation, n: int, r: int) -> ActionMatrix:
+    """The full matrix of sigma on the standard basis.  Characters need only
+    its diagonal and use plate_trace; the matrix serves checks that multiply
+    or conjugate action matrices."""
     basis = standard_basis(n, r)
     index = {p: i for i, p in enumerate(basis)}
     zero = CyclotomicNumber.zero(r)
@@ -107,12 +110,21 @@ def action_matrix(sigma: Permutation, n: int, r: int) -> ActionMatrix:
     return ActionMatrix(tuple(basis), entries)
 
 
+def plate_trace(sigma: Permutation, n: int, r: int) -> CyclotomicNumber:
+    """Trace of a permutation on the standard basis, from the diagonal alone:
+    the sum over basis plates p of the p-coefficient of expand(sigma . p)."""
+    acc = CyclotomicNumber.zero(r)
+    for p in standard_basis(n, r):
+        acc = acc + expand(apply_permutation(sigma, p)).coefficient(p)
+    return acc
+
+
 def plate_character(n: int, r: int) -> ClassFunction:
     """Character of the plate module by explicit traces, one per cycle type."""
     table = {}
     for lam in partitions(n):
         sigma = permutation_with_cycle_type(lam)
-        table[lam] = action_matrix(sigma, n, r).trace().to_fraction()
+        table[lam] = plate_trace(sigma, n, r).to_fraction()
     return ClassFunction.from_dict(n, table)
 
 

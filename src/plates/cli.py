@@ -15,9 +15,11 @@ from fractions import Fraction
 
 from .characters import (
     ClassFunction,
+    NotACharacterError,
     gcd_character,
     multiplicities,
     plate_character,
+    plate_trace,
 )
 from .combinatorics import (
     PermutationParseError,
@@ -303,9 +305,8 @@ def _checks_characters(n: int, r: int):
             sigma = permutation_with_cycle_type(lam)
             from .characters import gcd_formula
 
-            plate_val = plate_character_value(n, r, lam)
             values = {
-                "plates": plate_val,
+                "plates": plate_trace(sigma, n, r).to_fraction(),
                 "translation": ta_trace(sigma, n, r).to_fraction(),
                 "diophantine": Fraction(diophantine_count(lam, r)),
                 "formula": Fraction(gcd_formula(lam, r)),
@@ -315,12 +316,6 @@ def _checks_characters(n: int, r: int):
             return ok, None if ok else {k: str(v) for k, v in values.items()}
 
         yield name, check
-
-
-def plate_character_value(n: int, r: int, lam) -> Fraction:
-    from .characters import action_matrix
-
-    return action_matrix(permutation_with_cycle_type(lam), n, r).trace().to_fraction()
 
 
 def _checks_worpitzky(n: int, r_max: int):
@@ -482,6 +477,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except NotACharacterError as exc:  # a failed check, not a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (PlateParseError, PermutationParseError, ValueError) as exc:
         parser.exit(2, f"error: {exc}\n")
         return 2

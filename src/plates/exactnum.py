@@ -3,14 +3,18 @@
 The rational type is the stdlib ``fractions.Fraction`` (always reduced,
 positive denominator, structural equality).  Cyclotomic numbers are residues
 modulo the r-th cyclotomic polynomial, so every element has a unique
-coefficient vector of length phi(r) and equality is structural.  No floating
-point is used anywhere.
+coefficient vector of length phi(r) and equality is structural.  That vector
+is stored as integer numerators over one positive common denominator in
+lowest terms; the cyclotomic polynomial is monic with integer coefficients,
+so sums and products stay in integers until a coefficient is read.  No
+floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -79,51 +83,69 @@ def euler_phi(r: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _power_table(r: int) -> tuple[tuple[Fraction, ...], ...]:
-    """x^d reduced mod the r-th cyclotomic polynomial, d = 0 .. max(r-1, 2*phi-2)."""
+def _power_table(r: int) -> tuple[tuple[int, ...], ...]:
+    """x^d reduced mod the r-th cyclotomic polynomial, d = 0 .. max(r-1, 2*phi-2).
+
+    The polynomial is monic with integer coefficients, so every row is integral.
+    """
     phi = euler_phi(r)
     modulus = cyclotomic_polynomial(r)
     # x^phi = -(lower-order terms); modulus is monic
-    top = [Fraction(-c) for c in modulus[:phi]]
+    top = [-c for c in modulus[:phi]]
     table = []
-    cur = [Fraction(0)] * phi
-    cur[0] = Fraction(1)
+    cur = [0] * phi
+    cur[0] = 1
     for _ in range(max(r, 2 * phi - 1)):
         table.append(tuple(cur))
         lead = cur[-1]
-        nxt = [Fraction(0)] + cur[:-1]
+        nxt = [0] + cur[:-1]
         if lead:
             nxt = [a + lead * t for a, t in zip(nxt, top)]
         cur = nxt
     return tuple(table)
 
 
+def _fold(order: int, poly: list[int]) -> list[int]:
+    """Integer polynomial of any length reduced mod the order-th cyclotomic
+    polynomial, as phi(order) coefficients."""
+    phi = euler_phi(order)
+    if len(poly) <= phi:
+        return poly + [0] * (phi - len(poly))
+    table = _power_table(order)
+    out = poly[:phi]
+    for d in range(phi, len(poly)):
+        c = poly[d]
+        if c:
+            for i, t in enumerate(table[d % order]):
+                if t:
+                    out[i] += c * t
+    return out
+
+
 class CyclotomicNumber:
     """Element of the r-th cyclotomic field, canonical mod the minimal polynomial.
 
-    ``coeffs`` has length phi(r): the element is sum(coeffs[i] * zeta^i) where
-    zeta is the distinguished primitive r-th root of unity.
+    The element is sum(coeffs[i] * zeta^i), i < phi(r), where zeta is the
+    distinguished primitive r-th root of unity.  It is stored as integer
+    ``numerators`` over one ``denominator`` > 0 sharing no factor with them,
+    so coeffs[i] = numerators[i] / denominator.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "numerators", "denominator")
 
     def __init__(self, order: int, coeffs: Iterable) -> None:
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
-        phi = euler_phi(order)
-        raw = [Fraction(c) for c in coeffs]
-        if len(raw) > phi:
-            table = _power_table(order)
-            reduced = [Fraction(0)] * phi
-            for d, c in enumerate(raw):
-                if c:
-                    for i, t in enumerate(table[d]):
-                        reduced[i] += c * t
-            raw = reduced
-        else:
-            raw = raw + [Fraction(0)] * (phi - len(raw))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(raw))
+        values = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
+        den = lcm(1, *(c.denominator for c in values if not isinstance(c, int)))
+        nums = [
+            c * den if isinstance(c, int) else c.numerator * (den // c.denominator)
+            for c in values
+        ]
+        nums, den = _lowest_terms(_fold(order, nums), den)
+        _set_order(self, order)
+        _set_numerators(self, nums)
+        _set_denominator(self, den)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("CyclotomicNumber is immutable")
@@ -132,15 +154,27 @@ class CyclotomicNumber:
 
     @classmethod
     def from_rational(cls, order: int, value) -> "CyclotomicNumber":
-        return cls(order, [Fraction(value)])
+        if isinstance(value, int):
+            return _build(order, (value,) + _zeros(order)[1:], 1)
+        if not isinstance(value, Fraction):
+            value = Fraction(value)
+        return _build(order, (value.numerator,) + _zeros(order)[1:], value.denominator)
 
     @classmethod
     def zero(cls, order: int) -> "CyclotomicNumber":
-        return cls(order, [])
+        return _build(order, _zeros(order), 1)
 
     @classmethod
     def one(cls, order: int) -> "CyclotomicNumber":
-        return cls(order, [1])
+        return cls.from_rational(order, 1)
+
+    @classmethod
+    def from_integer_poly(cls, order: int, poly: list[int], denominator: int = 1) -> "CyclotomicNumber":
+        """sum(poly[d] * zeta^d) / denominator for integers poly[d] and a
+        positive integer denominator; poly may have any length."""
+        if order < 1:
+            raise ValueError(f"order must be >= 1, got {order}")
+        return _build(order, *_lowest_terms(_fold(order, poly), denominator))
 
     # -- coercion ----------------------------------------------------------
 
@@ -155,16 +189,29 @@ class CyclotomicNumber:
             return CyclotomicNumber.from_rational(self.order, other)
         raise TypeError(f"cannot combine CyclotomicNumber with {type(other).__name__}")
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficient vector, as reduced fractions."""
+        den = self.denominator
+        return tuple(Fraction(c, den) for c in self.numerators)
+
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         o = self._coerce(other)
-        return CyclotomicNumber(self.order, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        d1, d2 = self.denominator, o.denominator
+        if d1 == d2:
+            nums = [a + b for a, b in zip(self.numerators, o.numerators)]
+            if d1 == 1:
+                return _build(self.order, tuple(nums), 1)
+            return _build(self.order, *_lowest_terms(nums, d1))
+        nums = [a * d2 + b * d1 for a, b in zip(self.numerators, o.numerators)]
+        return _build(self.order, *_lowest_terms(nums, d1 * d2))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.order, [-a for a in self.coeffs])
+        return _build(self.order, tuple(-a for a in self.numerators), self.denominator)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -174,21 +221,16 @@ class CyclotomicNumber:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        a, b = self.coeffs, o.coeffs
-        conv = [Fraction(0)] * (2 * len(a) - 1)
+        a, b = self.numerators, o.numerators
+        conv = [0] * (2 * len(a) - 1)
         for i, ai in enumerate(a):
             if not ai:
                 continue
             for j, bj in enumerate(b):
                 if bj:
                     conv[i + j] += ai * bj
-        table = _power_table(self.order)
-        out = [Fraction(0)] * len(a)
-        for d, c in enumerate(conv):
-            if c:
-                for i, t in enumerate(table[d]):
-                    out[i] += c * t
-        return CyclotomicNumber(self.order, out)
+        nums, den = _lowest_terms(_fold(self.order, conv), self.denominator * o.denominator)
+        return _build(self.order, nums, den)
 
     __rmul__ = __mul__
 
@@ -230,27 +272,31 @@ class CyclotomicNumber:
     # -- predicates ----------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.numerators)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CyclotomicNumber):
-            return self.order == other.order and self.coeffs == other.coeffs
+            return (
+                self.order == other.order
+                and self.denominator == other.denominator
+                and self.numerators == other.numerators
+            )
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == CyclotomicNumber.from_rational(self.order, other).coeffs
+            return self.is_rational() and self.to_fraction() == other
         return NotImplemented
 
     def __hash__(self) -> int:
         if self.is_rational():
-            return hash(self.coeffs[0])
+            return hash(self.to_fraction())
         return hash((self.order, self.coeffs))
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.numerators[1:])
 
     def to_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"not a rational value: {self}")
-        return self.coeffs[0]
+        return Fraction(self.numerators[0], self.denominator)
 
     # -- presentation ----------------------------------------------------------
 
@@ -281,6 +327,35 @@ class CyclotomicNumber:
 
     def to_json(self) -> dict:
         return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
+
+
+# Instances are made without __init__ by filling the slots directly; every
+# caller hands over numerators and a denominator already in lowest terms.
+_set_order = CyclotomicNumber.order.__set__
+_set_numerators = CyclotomicNumber.numerators.__set__
+_set_denominator = CyclotomicNumber.denominator.__set__
+
+
+def _build(order: int, numerators: tuple[int, ...], denominator: int) -> CyclotomicNumber:
+    out = object.__new__(CyclotomicNumber)
+    _set_order(out, order)
+    _set_numerators(out, numerators)
+    _set_denominator(out, denominator)
+    return out
+
+
+def _lowest_terms(numerators: list[int], denominator: int) -> tuple[tuple[int, ...], int]:
+    """Divide out the common factor of the numerators and the positive denominator."""
+    if denominator != 1:
+        g = gcd(denominator, *numerators)
+        if g != 1:
+            return tuple(c // g for c in numerators), denominator // g
+    return tuple(numerators), denominator
+
+
+@lru_cache(maxsize=None)
+def _zeros(order: int) -> tuple[int, ...]:
+    return (0,) * euler_phi(order)
 
 
 # fraction-polynomial helpers for the inverse
@@ -323,13 +398,7 @@ def zeta_pow(r: int, k: int) -> CyclotomicNumber:
     """zeta_r^k for the distinguished primitive r-th root of unity zeta_r."""
     if r < 1:
         raise ValueError(f"order must be >= 1, got {r}")
-    k %= r
-    phi = euler_phi(r)
-    if k < phi:
-        coeffs = [Fraction(0)] * phi
-        coeffs[k] = Fraction(1)
-        return CyclotomicNumber(r, coeffs)
-    return CyclotomicNumber(r, _power_table(r)[k])
+    return _build(r, _power_table(r)[k % r], 1)
 
 
 def q_pow(r: int, m: int) -> CyclotomicNumber:

@@ -181,13 +181,14 @@ def expand(p: Plate) -> PlateVector:
     a_pairs = tuple((p.blocks[i], p.positions[i]) for i in range(m_idx, -1, -1))
     b_pairs = tuple((p.blocks[i], p.positions[i]) for i in range(m_idx + 1, p.k))
     sign_prefix = -1 if m_idx % 2 else 1  # (-1)^{m-1}, m = m_idx + 1
-    terms: dict[Plate, CyclotomicNumber] = {}
+    counts: dict[Plate, int] = {}
     for seq, n_lumps in lumped_shuffles(a_pairs, b_pairs):
         sign = sign_prefix * (1 if (p.k - n_lumps) % 2 == 0 else -1)
         plate = Plate(p.n, tuple(b for b, _ in seq), tuple(s for _, s in seq))
-        prev = terms.get(plate, CyclotomicNumber.zero(p.r))
-        terms[plate] = prev + sign
-    return PlateVector(p.n, p.r, terms)
+        counts[plate] = counts.get(plate, 0) + sign
+    return PlateVector(
+        p.n, p.r, {b: CyclotomicNumber.from_rational(p.r, c) for b, c in counts.items()}
+    )
 
 
 def oracle_expand(p: Plate, plan=None) -> PlateVector:

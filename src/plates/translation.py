@@ -12,11 +12,11 @@ counting of character values.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .combinatorics import Permutation
-from .exactnum import CyclotomicNumber, q_pow
+from .exactnum import CyclotomicNumber, euler_phi, q_pow
 
 Exponents = tuple[int, ...]
 
@@ -66,15 +66,31 @@ class TranslationElement:
         return self + (-other)
 
     def __mul__(self, other: "TranslationElement") -> "TranslationElement":
+        """Convolution of the exponent maps.  Coefficients are multiplied as
+        integer numerator vectors over the product of the two common
+        denominators, summed per exponent key, and reduced mod the cyclotomic
+        polynomial once per key."""
         self._check(other)
-        terms: dict[Exponents, CyclotomicNumber] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple((a + b) % self.r for a, b in zip(e1, e2))
-                c = c1 * c2
-                cur = terms.get(key)
-                terms[key] = c if cur is None else cur + c
-        return TranslationElement(self.n, self.r, terms)
+        r = self.r
+        den1, terms1 = _integer_terms(self.terms)
+        den2, terms2 = _integer_terms(other.terms)
+        width = 2 * euler_phi(r) - 1
+        sums: dict[Exponents, list[int]] = {}
+        for e1, c1 in terms1:
+            for e2, c2 in terms2:
+                key = tuple([(a + b) % r for a, b in zip(e1, e2)])
+                conv = sums.get(key)
+                if conv is None:
+                    conv = sums[key] = [0] * width
+                for i, x in c1:
+                    for j, y in c2:
+                        conv[i + j] += x * y
+        den = den1 * den2
+        return TranslationElement(
+            self.n,
+            r,
+            {key: CyclotomicNumber.from_integer_poly(r, conv, den) for key, conv in sums.items()},
+        )
 
     def scale(self, scalar) -> "TranslationElement":
         if not isinstance(scalar, CyclotomicNumber):
@@ -103,6 +119,16 @@ class TranslationElement:
         return " + ".join(bits)
 
     __repr__ = __str__
+
+
+def _integer_terms(terms: dict[Exponents, CyclotomicNumber]):
+    """(D, [(exponents, [(i, numerator of coeffs[i] * D), ...]), ...]) over the
+    least common denominator D, listing nonzero numerators only."""
+    den = lcm(1, *(c.denominator for c in terms.values()))
+    return den, [
+        (exps, [(i, a * (den // c.denominator)) for i, a in enumerate(c.numerators) if a])
+        for exps, c in terms.items()
+    ]
 
 
 def one(n: int, r: int) -> TranslationElement:
@@ -150,13 +176,20 @@ def ta_act(sigma: Permutation, elt: TranslationElement) -> TranslationElement:
     return out
 
 
-def _act_on_monomial(sigma: Permutation, n: int, r: int, exps: Exponents):
-    """Image of a basis monomial: (coefficient, exponent vector)."""
+def _monomial_image(sigma: Permutation, n: int, r: int, exps: Exponents):
+    """Image of a basis monomial as (a, exponent vector): sigma maps it to
+    q^a times the monomial with that exponent vector."""
     new = [0] * (n + 1)
     for i, e in enumerate(exps):
         new[sigma(i + 2)] = e
     a = new[1] % r
-    return q_pow(r, a), tuple((new[i] - a) % r for i in range(2, n + 1))
+    return a, tuple((new[i] - a) % r for i in range(2, n + 1))
+
+
+def _act_on_monomial(sigma: Permutation, n: int, r: int, exps: Exponents):
+    """Image of a basis monomial: (coefficient, exponent vector)."""
+    a, image = _monomial_image(sigma, n, r, exps)
+    return q_pow(r, a), image
 
 
 def basis_exponents(n: int, r: int):
@@ -165,31 +198,39 @@ def basis_exponents(n: int, r: int):
 
 def ta_trace(sigma: Permutation, n: int, r: int) -> CyclotomicNumber:
     """Trace of the permutation on the monomial basis; the action matrix is
-    monomial, so only self-mapped monomials contribute."""
-    acc = CyclotomicNumber.zero(r)
+    monomial, so only self-mapped monomials contribute.  They are counted per
+    power of zeta, and the counts become one cyclotomic number."""
+    counts = [0] * r  # counts[m]: fixed monomials with coefficient q^{-m} = zeta^m
     for exps in basis_exponents(n, r):
-        coeff, image = _act_on_monomial(sigma, n, r, exps)
+        a, image = _monomial_image(sigma, n, r, exps)
         if image == exps:
-            acc = acc + coeff
-    return acc
+            counts[-a % r] += 1
+    return CyclotomicNumber.from_integer_poly(r, counts)
 
 
 def diophantine_count(lam: Sequence[int], r: int) -> int:
     """Number of x in (Z/r)^k with sum(lam_i * x_i) = 1 mod r.
 
-    Direct enumeration when r^k <= 10^7, else the gcd closed form; the two
-    routes agree wherever both run (tested).
+    Dynamic programming over the residue of the partial sum: counts[s] is the
+    number of prefixes (x_1..x_j) with sum(lam_i * x_i) = s mod r, so the cost
+    is O(k * r^2) at every size.
     """
-    k = len(lam)
-    if r**k <= 10**7:
-        count = 0
-        for xs in itertools.product(range(r), repeat=k):
-            if sum(l * x for l, x in zip(lam, xs)) % r == 1 % r:
-                count += 1
-        return count
-    from .characters import gcd_formula
-
-    return gcd_formula(tuple(sorted(lam, reverse=True)), r)
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    counts = [0] * r
+    counts[0] = 1
+    for part in lam:
+        steps = [0] * r  # steps[t]: residues x with part * x = t mod r
+        for x in range(r):
+            steps[part * x % r] += 1
+        nxt = [0] * r
+        for s, c in enumerate(counts):
+            if c:
+                for t, m in enumerate(steps):
+                    if m:
+                        nxt[(s + t) % r] += c * m
+        counts = nxt
+    return counts[1 % r]
 
 
 # ---------------------------------------------------------------------------
@@ -214,17 +255,19 @@ def idempotent(label: Sequence[int], r: int) -> TranslationElement:
         raise ValueError(f"label entries must lie in 0..{r-1}: {label}")
     if sum(label) % r != 1 % r:
         raise ValueError(f"label {label} not in the admissible set: sum != 1 mod {r}")
-    scale = Fraction(1, r**n)
-    out = TranslationElement(n, r)
-    terms: dict[Exponents, CyclotomicNumber] = {}
+    powers: dict[Exponents, list[int]] = {}  # per monomial, counts of each power of zeta
     for ks in itertools.product(range(r), repeat=n):
-        coeff = q_pow(r, -sum(k * i for k, i in zip(ks, label))) * scale
+        # the term q^{-sum k_j i_j} e_1^{k_1}...e_n^{k_n}, with e_1^a = q^a e_2^{-a}...e_n^{-a}
         a = ks[0]
-        coeff = coeff * q_pow(r, a)
         exps = tuple((k - a) % r for k in ks[1:])
-        cur = terms.get(exps)
-        terms[exps] = coeff if cur is None else cur + coeff
-    return TranslationElement(n, r, terms)
+        counts = powers.get(exps)
+        if counts is None:
+            counts = powers[exps] = [0] * r
+        counts[(sum(k * i for k, i in zip(ks, label)) - a) % r] += 1
+    den = r**n
+    return TranslationElement(
+        n, r, {e: CyclotomicNumber.from_integer_poly(r, c, den) for e, c in powers.items()}
+    )
 
 
 def fixed_label_count(sigma: Permutation, n: int, r: int) -> int:

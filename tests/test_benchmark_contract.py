@@ -1,0 +1,57 @@
+"""The benchmark's cyclotomic and symbolic command kinds, run at tiny sizes
+through the CLI and judged by the benchmark's own checks, so that a change
+which breaks a benchmark job fails here first.  ``benchmarks/workloads.py``
+is only read, never changed."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+import plates
+from plates.cli import main
+from plates.combinatorics import all_permutations, cycle_type
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("plates_benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+W = _load_workloads()
+
+JOBS = [
+    W.verify("idempotents", 2, 3, 0, "tiny"),
+    W.qbasis(2, 3, "tiny"),
+    *(W.character(engine, 4, 3, "tiny") for engine in ("plates", "translation", "diophantine", "formula")),
+    W.multiplicities("plates", 4, 3, "tiny"),
+    W.verify("characters", 4, 3, 0, "tiny"),
+]
+
+
+@pytest.mark.parametrize("job", JOBS, ids=lambda job: job.label)
+def test_cli_job_passes_its_benchmark_check(job, capsys):
+    code = main(list(job.args))
+    out = capsys.readouterr().out
+    status, reason = job.check(json.loads(out.strip().splitlines()[-1]))
+    assert (code, status) == (0, W.OK), reason
+
+
+def test_session_trace_reads_coefficients_as_fractions():
+    # the session workload sums expand(sigma . p).coefficient(p).to_fraction()
+    n, r = 3, 3
+    basis = plates.standard_basis(n, r)
+    for sigma in all_permutations(n):
+        trace = sum(
+            plates.expand(plates.apply_permutation(sigma, p)).coefficient(p).to_fraction()
+            for p in basis
+        )
+        assert trace == W.closed_form(cycle_type(sigma), r)
+    missing = plates.expand(basis[0]).coefficient(basis[-1])
+    assert missing.to_fraction() == 0

@@ -16,6 +16,7 @@ from plates.characters import (
     mn_character,
     multiplicities,
     plate_character,
+    plate_trace,
     sym_power_character,
     trivial_multiplicity_series,
 )
@@ -74,6 +75,12 @@ def test_action_is_homomorphism():
             assert all(
                 inv[i][j] == m_inv[i][j] for i in range(len(inv)) for j in range(len(inv))
             )
+
+
+def test_diagonal_trace_equals_matrix_trace():
+    for r in range(1, 5):
+        for sigma in all_permutations(4):
+            assert plate_trace(sigma, 4, r) == action_matrix(sigma, 4, r).trace(), (sigma, r)
 
 
 def test_plate_character_values():

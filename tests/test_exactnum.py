@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -130,3 +131,145 @@ def test_text_and_json_forms():
     assert str(x) == "1/2 - 1/2*z"
     assert x.to_json() == {"order": 4, "coeffs": ["1/2", "-1/2"]}
     assert str(CyclotomicNumber.zero(3)) == "0"
+
+
+# ---------------------------------------------------------------------------
+# properties of the integer representation, against a Fraction-vector reference
+
+ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 12)
+
+
+def given(*strategies):
+    """Run the decorated check as a hypothesis property test, skipped when
+    hypothesis is not installed."""
+
+    def wrap(check):
+        def test():
+            hypothesis = pytest.importorskip("hypothesis")
+            st = hypothesis.strategies
+            prop = hypothesis.given(*(make(st) for make in strategies))(check)
+            hypothesis.settings(deadline=None, max_examples=50)(prop)()
+
+        test.__name__ = check.__name__
+        return test
+
+    return wrap
+
+
+def fractions(st):
+    return st.fractions(min_value=-20, max_value=20, max_denominator=30)
+
+
+def cyclotomic_triples(st):
+    """(r, a, b, c): three elements of one field, each given by a vector that
+    may be longer than phi(r), so construction also reduces."""
+    def triple(r):
+        vec = st.lists(fractions(st), min_size=0, max_size=r + 3)
+        return st.tuples(st.just(r), vec, vec, vec)
+
+    return st.sampled_from(ORDERS).flatmap(triple).map(
+        lambda t: (t[0],) + tuple(CyclotomicNumber(t[0], v) for v in t[1:])
+    )
+
+
+def ref_reduce(r, poly):
+    """Fraction vector reduced by long division by the monic Phi_r."""
+    mod = cyclotomic_polynomial(r)
+    phi = len(mod) - 1
+    poly = [Fraction(c) for c in poly] + [Fraction(0)] * phi
+    for d in range(len(poly) - 1, phi - 1, -1):
+        c = poly[d]
+        if c:
+            for j, m in enumerate(mod):
+                poly[d - phi + j] -= c * m
+    return tuple(poly[:phi])
+
+
+def ref_mul(r, a, b):
+    conv = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    return ref_reduce(r, conv)
+
+
+def ref_str(coeffs):
+    """The text form, written out from the coefficient vector."""
+    parts = []
+    for i, c in enumerate(coeffs):
+        if not c:
+            continue
+        mon = {0: "1", 1: "z"}.get(i, f"z^{i}")
+        term = str(c) if i == 0 else mon if c == 1 else f"-{mon}" if c == -1 else f"{c}*{mon}"
+        if not parts:
+            parts.append(term)
+        elif term.startswith("-"):
+            parts.append("- " + term[1:])
+        else:
+            parts.append("+ " + term)
+    return " ".join(parts) or "0"
+
+
+def assert_canonical(x):
+    assert len(x.numerators) == euler_phi(x.order)
+    assert all(type(c) is int for c in x.numerators)
+    assert type(x.denominator) is int and x.denominator > 0
+    assert math.gcd(x.denominator, *x.numerators) == 1
+    assert x.coeffs == tuple(Fraction(c, x.denominator) for c in x.numerators)
+
+
+@given(cyclotomic_triples)
+def test_results_are_in_lowest_terms(t):
+    r, a, b, c = t
+    for x in (a, b, a + b, a - b, -a, a * b, a * b + c, CyclotomicNumber.zero(r)):
+        assert_canonical(x)
+    if a:
+        assert_canonical(a.inverse())
+
+
+@given(cyclotomic_triples)
+def test_field_axioms_property(t):
+    r, a, b, c = t
+    zero, one = CyclotomicNumber.zero(r), CyclotomicNumber.one(r)
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and a * zero == zero
+    assert a + (-a) == zero and a - b == a + (-b)
+    if a:
+        assert a * a.inverse() == one
+
+
+@given(cyclotomic_triples)
+def test_arithmetic_matches_fraction_vectors(t):
+    r, a, b, _ = t
+    assert (a + b).coeffs == tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
+    assert (-a).coeffs == tuple(-x for x in a.coeffs)
+    assert (a * b).coeffs == ref_mul(r, a.coeffs, b.coeffs)
+
+
+@given(cyclotomic_triples)
+def test_text_and_json_match_fraction_vectors(t):
+    r, a, b, _ = t
+    for x, ref in ((a, a.coeffs), (a * b, ref_mul(r, a.coeffs, b.coeffs))):
+        assert str(x) == ref_str(ref)
+        assert x.to_json() == {"order": r, "coeffs": [str(c) for c in ref]}
+
+
+@given(lambda st: st.sampled_from(ORDERS), fractions, fractions)
+def test_rational_values_compare_and_hash_like_fractions(r, p, q):
+    built = (
+        CyclotomicNumber.from_rational(r, p),
+        CyclotomicNumber(r, [p]),
+        CyclotomicNumber.from_rational(r, p + q) - q,
+        CyclotomicNumber.from_rational(r, p * 7) * Fraction(1, 7),
+    )
+    for x in built:
+        assert x == p and p == x and not (x != p)
+        assert hash(x) == hash(p)
+        assert (x == q) == (p == q)
+        assert x.to_fraction() == p
+        if p.denominator == 1:
+            assert x == int(p) and hash(x) == hash(int(p))
+    assert len(set(built)) == 1

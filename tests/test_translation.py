@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from plates.characters import gcd_formula, plate_character
 from plates.combinatorics import (
     Permutation,
+    all_permutations,
     parse_permutation,
     partitions,
     permutation_with_cycle_type,
@@ -85,10 +87,33 @@ def test_diophantine_examples():
 
 
 def test_diophantine_closed_form_path():
-    # r^k over the enumeration threshold falls back to the gcd closed form
+    # r^k above 10^7, where the count once fell back to the gcd closed form
     lam = (1,) * 10
     assert diophantine_count(lam, 6) == 6**9
     assert diophantine_count((2,) * 10, 6) == 0
+
+
+def test_diophantine_matches_enumeration():
+    for k in range(1, 6):
+        for lam in partitions(k):
+            for r in range(1, 9):
+                brute = sum(
+                    1
+                    for xs in itertools.product(range(r), repeat=len(lam))
+                    if sum(l * x for l, x in zip(lam, xs)) % r == 1 % r
+                )
+                assert diophantine_count(lam, r) == brute, (lam, r)
+
+
+def test_trace_matches_per_monomial_sum():
+    for n, r in [(1, 3), (2, 5), (3, 4), (4, 3), (3, 6)]:
+        for sigma in all_permutations(n):
+            acc = zeta_pow(r, 0) * 0
+            for exps in basis_exponents(n, r):
+                coeff, image = _act_on_monomial(sigma, n, r, exps)
+                if image == exps:
+                    acc = acc + coeff
+            assert ta_trace(sigma, n, r) == acc, (sigma, n, r)
 
 
 def test_four_way_character_agreement():
