@@ -176,19 +176,20 @@ def ta_act(sigma: Permutation, elt: TranslationElement) -> TranslationElement:
     return out
 
 
-def _monomial_image(sigma: Permutation, n: int, r: int, exps: Exponents):
-    """Image of a basis monomial as (a, exponent vector): sigma maps it to
-    q^a times the monomial with that exponent vector."""
-    new = [0] * (n + 1)
-    for i, e in enumerate(exps):
-        new[sigma(i + 2)] = e
+def _monomial_image(slots: list[int], r: int, exps: Exponents):
+    """Image of a basis monomial under sigma, given slots[i] = sigma(i + 2), as
+    (a, exponent vector): sigma maps it to q^a times the monomial with that
+    exponent vector."""
+    new = [0] * (len(slots) + 2)
+    for slot, e in zip(slots, exps):
+        new[slot] = e
     a = new[1] % r
-    return a, tuple((new[i] - a) % r for i in range(2, n + 1))
+    return a, tuple([(x - a) % r for x in new[2:]])
 
 
 def _act_on_monomial(sigma: Permutation, n: int, r: int, exps: Exponents):
     """Image of a basis monomial: (coefficient, exponent vector)."""
-    a, image = _monomial_image(sigma, n, r, exps)
+    a, image = _monomial_image([sigma(i) for i in range(2, n + 1)], r, exps)
     return q_pow(r, a), image
 
 
@@ -200,9 +201,10 @@ def ta_trace(sigma: Permutation, n: int, r: int) -> CyclotomicNumber:
     """Trace of the permutation on the monomial basis; the action matrix is
     monomial, so only self-mapped monomials contribute.  They are counted per
     power of zeta, and the counts become one cyclotomic number."""
+    slots = [sigma(i) for i in range(2, n + 1)]
     counts = [0] * r  # counts[m]: fixed monomials with coefficient q^{-m} = zeta^m
     for exps in basis_exponents(n, r):
-        a, image = _monomial_image(sigma, n, r, exps)
+        a, image = _monomial_image(slots, r, exps)
         if image == exps:
             counts[-a % r] += 1
     return CyclotomicNumber.from_integer_poly(r, counts)
