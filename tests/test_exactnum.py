@@ -249,6 +249,16 @@ def test_arithmetic_matches_fraction_vectors(t):
     assert (a * b).coeffs == ref_mul(r, a.coeffs, b.coeffs)
 
 
+@given(
+    lambda st: st.sampled_from(ORDERS).flatmap(
+        lambda r: st.tuples(st.just(r), st.lists(fractions(st), max_size=3 * r))
+    )
+)
+def test_construction_reduces_like_long_division(t):
+    r, vec = t
+    assert CyclotomicNumber(r, vec).coeffs == ref_reduce(r, vec)
+
+
 @given(cyclotomic_triples)
 def test_text_and_json_match_fraction_vectors(t):
     r, a, b, _ = t

@@ -11,7 +11,7 @@ from plates.combinatorics import (
     partitions,
     permutation_with_cycle_type,
 )
-from plates.exactnum import q_pow, zeta_pow
+from plates.exactnum import CyclotomicNumber, q_pow, zeta_pow
 from plates.translation import (
     admissible_labels,
     basis_exponents,
@@ -87,7 +87,7 @@ def test_diophantine_examples():
 
 
 def test_diophantine_closed_form_path():
-    # r^k above 10^7, where the count once fell back to the gcd closed form
+    # 6^10 tuples, far beyond enumeration: the residue DP counts them exactly
     lam = (1,) * 10
     assert diophantine_count(lam, 6) == 6**9
     assert diophantine_count((2,) * 10, 6) == 0
@@ -108,7 +108,7 @@ def test_diophantine_matches_enumeration():
 def test_trace_matches_per_monomial_sum():
     for n, r in [(1, 3), (2, 5), (3, 4), (4, 3), (3, 6)]:
         for sigma in all_permutations(n):
-            acc = zeta_pow(r, 0) * 0
+            acc = CyclotomicNumber.zero(r)
             for exps in basis_exponents(n, r):
                 coeff, image = _act_on_monomial(sigma, n, r, exps)
                 if image == exps:
