@@ -93,4 +93,35 @@ from .worpitzky import (
     verify_categorified_worpitzky,
 )
 
+from . import characters as _characters
+from . import combinatorics as _combinatorics
+from . import core as _core
+from . import exactnum as _exactnum
+from . import oracle as _oracle
+
 __version__ = "0.1.0"
+
+# captured at import, so clear_caches still reaches a cache after a tracer
+# rebinds the module name to a wrapper without cache_clear
+_LRU_CACHES = (
+    _core._standard_basis,
+    _combinatorics._partitions,
+    _combinatorics._eulerian_ascents,
+    _exactnum.cyclotomic_polynomial,
+    _exactnum._power_table,
+    _exactnum._zeros,
+    _characters._mn_value,
+    expand,
+)
+_PLAN_CACHES = (_oracle._point_cache, _oracle._solver_cache)
+
+
+def clear_caches() -> None:
+    """Empty every module-level cache: expansions, standard bases, partitions,
+    Eulerian numbers, cyclotomic tables, Murnaghan-Nakayama values, and the
+    oracle's sampled points and basis solvers.  Results are unchanged; only
+    the memory and the work of rebuilding them move."""
+    for cache in _LRU_CACHES:
+        cache.cache_clear()
+    for cache in _PLAN_CACHES:
+        cache.clear()

@@ -146,7 +146,7 @@ def gcd_character(n: int, r: int) -> ClassFunction:
 # irreducible characters (Murnaghan-Nakayama)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def _mn_value(mu: tuple[int, ...], rho: tuple[int, ...]) -> int:
     """Recursive border-strip evaluation over beta-sets."""
     if not rho:

@@ -170,7 +170,7 @@ def permutation_with_cycle_type(lam: tuple[int, ...]) -> Permutation:
 # Eulerian numbers
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def _eulerian_ascents(n: int, k: int) -> int:
     """Permutations of n letters with exactly k ascents (standard recurrence)."""
     if k < 0 or k >= max(n, 1):
@@ -197,9 +197,16 @@ def eulerian_row(m: int) -> list[int]:
 
 
 def partitions(n: int) -> list[tuple[int, ...]]:
-    """All integer partitions of n, parts decreasing, reverse-lexicographic order."""
+    """All integer partitions of n, parts decreasing, reverse-lexicographic order.
+
+    Each call returns a new list over one cached tuple per n."""
+    return list(_partitions(n))
+
+
+@lru_cache(maxsize=64)
+def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
     if n == 0:
-        return [()]
+        return ((),)
     out: list[tuple[int, ...]] = []
 
     def rec(remaining: int, cap: int, prefix: tuple[int, ...]) -> None:
@@ -210,7 +217,7 @@ def partitions(n: int) -> list[tuple[int, ...]]:
             rec(remaining - part, part, prefix + (part,))
 
     rec(n, n, ())
-    return out
+    return tuple(out)
 
 
 def partition_zee(lam: tuple[int, ...]) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -50,6 +51,17 @@ class Plate:
             seen |= set(b)
         if seen != set(range(1, self.n + 1)):
             raise ValueError(f"lumps must partition 1..{self.n}, got {blocks}")
+
+    @classmethod
+    def _trusted(cls, n: int, blocks: tuple, positions: tuple) -> "Plate":
+        """Build without validation.  Only for callers whose blocks are
+        ascending tuples partitioning 1..n and whose positions are a tuple of
+        positive ints, by construction."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "n", n)
+        object.__setattr__(p, "blocks", blocks)
+        object.__setattr__(p, "positions", positions)
+        return p
 
     @property
     def k(self) -> int:
@@ -178,7 +190,7 @@ def rotate(p: Plate, t: int) -> Plate:
     t %= p.k
     if t == 0:
         return p
-    return Plate(
+    return Plate._trusted(
         p.n,
         p.blocks[-t:] + p.blocks[:-t],
         p.positions[-t:] + p.positions[:-t],
@@ -200,7 +212,7 @@ def lumpings(p: Plate) -> list[Plate]:
         for a, b in zip(bounds, bounds[1:]):
             blocks.append(tuple(sorted(e for blk in p.blocks[a:b] for e in blk)))
             positions.append(sum(p.positions[a:b]))
-        out.append(Plate(p.n, tuple(blocks), tuple(positions)))
+        out.append(Plate._trusted(p.n, tuple(blocks), tuple(positions)))
     return out
 
 
@@ -212,17 +224,23 @@ def standard_basis(n: int, r: int) -> list[Plate]:
     """All plates with 1 in the first lump, positions summing to r.
 
     Canonical order: lump count ascending, then ordered-set-partition order,
-    then composition order.  The length is r^{n-1}.
+    then composition order.  The length is r^{n-1}.  Each call returns a new
+    list over one cached tuple per (n, r).
     """
     if n < 1 or r < 1:
         raise ValueError("need n >= 1 and r >= 1")
+    return list(_standard_basis(n, r))
+
+
+@lru_cache(maxsize=32)
+def _standard_basis(n: int, r: int) -> tuple[Plate, ...]:
     basis = []
     for k in range(1, min(n, r) + 1):
         comps = enumerate_compositions(r, k)
         for blocks in enumerate_osp(n, k, one_first=True):
             for comp in comps:
-                basis.append(Plate(n, blocks, comp))
-    return basis
+                basis.append(Plate._trusted(n, blocks, comp))
+    return tuple(basis)
 
 
 def all_plates(n: int, r: int) -> Iterator[Plate]:
@@ -231,15 +249,16 @@ def all_plates(n: int, r: int) -> Iterator[Plate]:
         comps = enumerate_compositions(r, k)
         for blocks in enumerate_osp(n, k):
             for comp in comps:
-                yield Plate(n, blocks, comp)
+                yield Plate._trusted(n, blocks, comp)
 
 
 def apply_permutation(sigma: Permutation, p: Plate) -> Plate:
     """Relabel coordinates: each lump S becomes sigma(S), order and positions kept."""
     if sigma.n != p.n:
         raise ValueError(f"permutation on {sigma.n} letters, plate has n={p.n}")
-    return Plate(
+    images = sigma.images
+    return Plate._trusted(
         p.n,
-        tuple(tuple(sorted(sigma(e) for e in b)) for b in p.blocks),
+        tuple(tuple(sorted([images[e - 1] for e in b])) for b in p.blocks),
         p.positions,
     )

@@ -58,7 +58,7 @@ def _poly_divexact(num: Sequence[int], den: Sequence[int]) -> list:
     return q
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def cyclotomic_polynomial(r: int) -> tuple[int, ...]:
     """Coefficients of the r-th cyclotomic polynomial, lowest degree first.
 
@@ -82,7 +82,7 @@ def euler_phi(r: int) -> int:
     return len(cyclotomic_polynomial(r)) - 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _power_table(r: int) -> tuple[tuple[int, ...], ...]:
     """x^d reduced mod the r-th cyclotomic polynomial, d = 0 .. max(r-1, 2*phi-2).
 
@@ -353,7 +353,7 @@ def _lowest_terms(numerators: list[int], denominator: int) -> tuple[tuple[int, .
     return tuple(numerators), denominator
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _zeros(order: int) -> tuple[int, ...]:
     return (0,) * euler_phi(order)
 

@@ -174,7 +174,7 @@ def lumped_shuffles(a_pairs, b_pairs) -> list[tuple[LumpSeq, int]]:
     return [(seq, len(seq)) for seq in _merged_runs(a_pairs, b_pairs, True)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def expand(p: Plate) -> PlateVector:
     """Standard-basis expansion of a plate (identity on standard plates)."""
     m_idx = next(i for i, b in enumerate(p.blocks) if 1 in b)
@@ -184,7 +184,8 @@ def expand(p: Plate) -> PlateVector:
     counts: dict[Plate, int] = {}
     for seq, n_lumps in lumped_shuffles(a_pairs, b_pairs):
         sign = sign_prefix * (1 if (p.k - n_lumps) % 2 == 0 else -1)
-        plate = Plate(p.n, tuple(b for b, _ in seq), tuple(s for _, s in seq))
+        # _fuse sorts each lump and adds positive positions
+        plate = Plate._trusted(p.n, tuple(b for b, _ in seq), tuple(s for _, s in seq))
         counts[plate] = counts.get(plate, 0) + sign
     return PlateVector(
         p.n, p.r, {b: CyclotomicNumber.from_rational(p.r, c) for b, c in counts.items()}

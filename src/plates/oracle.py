@@ -110,8 +110,17 @@ def _seed_int(plan: SamplePlan) -> int:
     return int.from_bytes(hashlib.sha256(tag.encode()).digest()[:8], "big")
 
 
+# Per-plan caches hold at most this many plans; the oldest plan is evicted.
+_PLAN_CACHE_SIZE = 16
+
 # one RNG stream and numerator list per plan, so repeated requests are prefixes
 _point_cache: dict = {}
+
+
+def _remember(cache: dict, key, value) -> None:
+    if len(cache) >= _PLAN_CACHE_SIZE:
+        del cache[next(iter(cache))]  # dicts keep insertion order
+    cache[key] = value
 
 
 def _sample_numerators(plan: SamplePlan, count: int) -> list[tuple[int, ...]]:
@@ -122,7 +131,7 @@ def _sample_numerators(plan: SamplePlan, count: int) -> list[tuple[int, ...]]:
     entry = _point_cache.get(key)
     if entry is None:
         entry = (random.Random(_seed_int(plan)), [])
-        _point_cache[key] = entry
+        _remember(_point_cache, key, entry)
     rng, numerators = entry
     while len(numerators) < count:
         for _ in range(plan.max_tries_per_point):
@@ -448,7 +457,7 @@ def solve_in_basis(target: Plate, basis: Sequence[Plate], plan: SamplePlan) -> l
     solver = _solver_cache.get(key)
     if solver is None:
         solver = _BasisSolver(basis, plan)
-        _solver_cache[key] = solver
+        _remember(_solver_cache, key, solver)
     return solver.solve(target)
 
 

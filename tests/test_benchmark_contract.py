@@ -32,6 +32,8 @@ JOBS = [
     *(W.character(engine, 4, 3, "tiny") for engine in ("plates", "translation", "diophantine", "formula")),
     W.multiplicities("plates", 4, 3, "tiny"),
     W.verify("characters", 4, 3, 0, "tiny"),
+    W.verify("worpitzky", 3, 2, 0, "tiny"),
+    W.verify("relations", 2, 3, 0, "tiny"),
 ]
 
 

@@ -146,3 +146,11 @@ def test_representative_has_requested_type():
     for n in range(1, 7):
         for lam in partitions(n):
             assert permutation_with_cycle_type(lam).cycle_type() == lam
+
+
+def test_partitions_list_is_the_callers_own():
+    first = partitions(5)
+    expected = list(first)
+    first[0] = (9,)
+    first.append(())
+    assert partitions(5) == expected

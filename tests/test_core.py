@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from plates.combinatorics import Permutation, parse_permutation
+from plates.combinatorics import Permutation, all_permutations, parse_permutation
 from plates.core import (
     Plate,
     PlateParseError,
@@ -146,3 +146,48 @@ def test_indicator_equivariance_randomized():
         x = [Fraction(rng.randint(0, 3 * r), 3) for _ in range(n)]
         moved = [x[sigma(i) - 1] for i in range(1, n + 1)]  # sigma^{-1} . x
         assert evaluate(apply_permutation(sigma, p), x) == evaluate(p, moved)
+
+
+def assert_fully_valid(p):
+    """p equals, and hashes like, the same plate built with every check."""
+    checked = Plate(p.n, p.blocks, p.positions)
+    assert p == checked and hash(p) == hash(checked)
+    assert type(p.blocks) is tuple and type(p.positions) is tuple
+    assert all(type(b) is tuple and list(b) == sorted(b) for b in p.blocks)
+
+
+def test_engine_built_plates_pass_full_validation():
+    for n in range(1, 5):
+        perms = list(all_permutations(n))
+        for r in range(1, 5):
+            for p in standard_basis(n, r):
+                assert_fully_valid(p)
+            for p in all_plates(n, r):
+                assert_fully_valid(p)
+                for t in range(p.k):
+                    assert_fully_valid(rotate(p, t))
+                for lumped in lumpings(p):
+                    assert_fully_valid(lumped)
+                for sigma in perms:
+                    assert_fully_valid(apply_permutation(sigma, p))
+
+
+def test_public_constructor_and_relabelling_still_check():
+    with pytest.raises(ValueError, match="partition"):
+        Plate(3, ((1,), (2,)), (1, 1))
+    with pytest.raises(ValueError, match="overlapping"):
+        Plate(2, ((1, 2), (2,)), (1, 1))
+    with pytest.raises(ValueError, match=">= 1"):
+        Plate(2, ((1,), (2,)), (1, 0))
+    with pytest.raises(ValueError, match="equal length"):
+        Plate(2, ((1, 2),), (1, 1))
+    with pytest.raises(ValueError, match="3 letters"):
+        apply_permutation(Permutation.identity(3), parse_plate("[[{1}_1 {2}_1]]"))
+
+
+def test_standard_basis_list_is_the_callers_own():
+    first = standard_basis(3, 3)
+    expected = list(first)
+    first.clear()
+    again = standard_basis(3, 3)
+    assert again == expected and again is not first

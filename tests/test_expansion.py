@@ -82,6 +82,16 @@ def test_expand_standard_is_identity():
                 assert expand(p) == plate_vector(p)
 
 
+def test_expand_terms_pass_full_validation():
+    for n in range(1, 5):
+        for r in range(1, 5):
+            for p in all_plates(n, r):
+                for term in expand(p).terms:
+                    checked = Plate(term.n, term.blocks, term.positions)
+                    assert term == checked and hash(term) == hash(checked)
+                    assert all(list(b) == sorted(b) for b in term.blocks)
+
+
 def test_expand_two_lump_swap():
     v = expand(parse_plate("[[{2}_1 {1}_1]]"))
     assert as_fraction_terms(v) == {
