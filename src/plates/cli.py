@@ -17,6 +17,7 @@ from .characters import (
     ClassFunction,
     NotACharacterError,
     gcd_character,
+    irreducible_dimension,
     multiplicities,
     plate_character,
     plate_trace,
@@ -74,13 +75,7 @@ def _emit(args, payload: dict, human_lines) -> None:
 
 
 def _plan(args, n: int, r: int) -> SamplePlan:
-    return SamplePlan(
-        n=n,
-        r=r,
-        seed=args.seed,
-        denominator=args.denominator,
-        batch=args.batch,
-    )
+    return SamplePlan(n=n, r=r, seed=args.seed, denominator=args.denominator)
 
 
 def _parse_plate_arg(text: str, n=None) -> tuple[Plate, bool]:
@@ -89,10 +84,6 @@ def _parse_plate_arg(text: str, n=None) -> tuple[Plate, bool]:
     if stripped.startswith("q"):
         return parse_plate(stripped[1:], n=n), True
     return parse_plate(stripped, n=n), False
-
-
-def _vector_json(vec: PlateVector) -> dict:
-    return vec.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +112,7 @@ def cmd_expand(args) -> int:
         "command": "expand",
         "input": ("q" if is_q else "") + print_plate(plate),
         "method": method,
-        "expansion": _vector_json(result),
+        "expansion": result.to_json(),
     }
     lines = [f"{payload['input']} = {result}"]
     if agree is not None:
@@ -142,7 +133,7 @@ def cmd_act(args) -> int:
         "command": "act",
         "perm": sigma.to_cycle_string(),
         "input": ("q" if is_q else "") + print_plate(plate),
-        "result": _vector_json(result),
+        "result": result.to_json(),
     }
     _emit(args, payload, [f"{sigma} . {payload['input']} = {result}"])
     return 0
@@ -190,21 +181,13 @@ def cmd_multiplicities(args) -> int:
         "n": args.n,
         "r": args.r,
         "multiplicities": {_partition_key(mu): m for mu, m in table.items()},
-        "dimension_audit": sum(
-            m * _dimension(mu) for mu, m in table.items()
-        )
+        "dimension_audit": sum(m * irreducible_dimension(mu) for mu, m in table.items())
         == args.r ** (args.n - 1),
     }
     lines = [f"irreducible multiplicities, n={args.n}, r={args.r}"]
     lines += [f"  {_partition_key(mu):>12}  {m}" for mu, m in table.items()]
     _emit(args, payload, lines)
     return 0
-
-
-def _dimension(mu) -> int:
-    from .characters import irreducible_dimension
-
-    return irreducible_dimension(mu)
 
 
 def cmd_eulerian(args) -> int:
@@ -228,7 +211,7 @@ def cmd_dims(args) -> int:
         "points_used": report.points_used,
         "expected": expected,
         "match": len(basis) == report.rank == expected,
-        "stabilized": report.stabilized,
+        "denominator": report.denominator,
     }
     _emit(
         args,
@@ -236,7 +219,7 @@ def cmd_dims(args) -> int:
         [
             f"standard basis size: {len(basis)}",
             f"oracle rank: {report.rank} (points used: {report.points_used}, "
-            f"stabilized: {report.stabilized})",
+            f"denominator: {report.denominator})",
             f"expected r^(n-1): {expected}",
             f"match: {payload['match']}",
         ],
@@ -392,14 +375,19 @@ def cmd_verify(args) -> int:
 
 
 def _add_sampling(sub) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
+    sub.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="sampling seed (default 0); no effect on dims, which walks every point",
+    )
     sub.add_argument(
         "--denominator",
         type=int,
         default=None,
-        help="prime denominator for sample points (default: first prime > n)",
+        help="prime denominator for sample points (default: first prime > n; "
+        "unless it is given, dims moves on to larger primes while its rank is short)",
     )
-    sub.add_argument("--batch", type=int, default=16, help="points per growth step")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,10 +3,12 @@
 Identities between plates hold almost everywhere, not on the shared walls of
 the closed regions, so every check here happens at *generic* rational points:
 points of the simplex slice where no proper subset of coordinates sums to an
-integer.  Sampling is seeded and exact (fixed prime denominator), so runs are
-reproducible and every rank and solve returned is exact over the rationals.
+integer.  Ranks walk every generic point of a fixed prime denominator in a
+fixed order; solves and identity checks use a seeded sample of those points.
+So runs are reproducible and every rank and solve returned is exact over the
+rationals.
 
-Every sampled point is a/D with integer numerators a summing to r*D, so a
+Every point is a/D with integer numerators a summing to r*D, so a
 plate is evaluated there by integer comparisons against the subset-sums of a
 (see ``_flag_test``); ``core.evaluate`` stays the reference for arbitrary
 rational points.
@@ -16,11 +18,12 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import Plate
 from .exactnum import CyclotomicNumber
@@ -46,6 +49,15 @@ def next_prime_above(n: int) -> int:
         c += 1
 
 
+# The seeded sampler's fixed sizes: points per growth step of a basis solver
+# (and its held-out batch), points checked by verify_identity_ae, the solver's
+# point cap per basis column, and candidates tried for each generic point.
+_BATCH = 16
+_CHECK_POINTS = 3 * _BATCH
+_MAX_POINTS_FACTOR = 50
+_MAX_TRIES_PER_POINT = 100_000
+
+
 @dataclass(frozen=True)
 class SamplePlan:
     """Deterministic sampling configuration for one (n, r) slice."""
@@ -54,16 +66,10 @@ class SamplePlan:
     r: int
     seed: int = 0
     denominator: int | None = None  # default: first prime > n
-    batch: int = 16
-    stable_window: int = 3
-    max_points_factor: int = 50
-    max_tries_per_point: int = 100_000
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.r < 1:
             raise ValueError("need n >= 1 and r >= 1")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
         d = self.resolved_denominator
         if d <= self.n or any(d % p == 0 for p in range(2, int(d**0.5) + 1)):
             raise ValueError(f"denominator must be a prime > n, got {d}")
@@ -73,7 +79,7 @@ class SamplePlan:
         return self.denominator if self.denominator is not None else next_prime_above(self.n)
 
     def key(self) -> tuple:
-        return (self.n, self.r, self.seed, self.resolved_denominator, self.batch)
+        return (self.n, self.r, self.seed, self.resolved_denominator)
 
 
 def _subset_sums(numerators: Sequence[int]) -> list[int]:
@@ -92,9 +98,10 @@ def _is_generic(numerators: Sequence[int], d: int) -> bool:
     subsets containing the first coordinate are checked.
     """
     # the subset-sum table of _subset_sums, built inline in mask order so that
-    # most candidates are rejected after a few masks: at n=6, r=2 about 99% of
-    # candidates are rejected, and calling _subset_sums instead makes dims
-    # there about 1.5x slower end to end
+    # most candidates are rejected after a few masks: at n=6, r=2 the lattice
+    # walk keeps 42 of 1287 compositions at D=7 and 2274 of 20349 at D=11,
+    # and calling _subset_sums then scanning makes rank_report there about
+    # 2x slower
     sums = [0] * (1 << len(numerators))
     for mask in range(1, len(sums) - 1):
         low = mask & (-mask)
@@ -102,6 +109,22 @@ def _is_generic(numerators: Sequence[int], d: int) -> bool:
         if mask & 1 and s % d == 0:  # odd masks contain coordinate 1
             return False
     return True
+
+
+def _lattice(n: int, r: int, d: int) -> Iterator[tuple[int, ...]]:
+    """Numerators a of every generic point a/d of the (n, r) slice, in
+    lexicographic order.
+
+    These are the compositions of r*d into n parts that pass ``_is_generic``,
+    which is exactly the set the seeded sampler draws from: a zero part is
+    never generic when n >= 2, so positive parts lose nothing.
+    """
+    total = r * d
+    for cuts in combinations(range(1, total), n - 1):
+        bounds = (0, *cuts, total)
+        nums = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+        if _is_generic(nums, d):
+            yield nums
 
 
 def _seed_int(plan: SamplePlan) -> int:
@@ -134,7 +157,7 @@ def _sample_numerators(plan: SamplePlan, count: int) -> list[tuple[int, ...]]:
         _remember(_point_cache, key, entry)
     rng, numerators = entry
     while len(numerators) < count:
-        for _ in range(plan.max_tries_per_point):
+        for _ in range(_MAX_TRIES_PER_POINT):
             cuts = sorted(rng.randint(0, total) for _ in range(plan.n - 1))
             bounds = [0] + cuts + [total]
             nums = tuple(b - a for a, b in zip(bounds, bounds[1:]))
@@ -142,7 +165,7 @@ def _sample_numerators(plan: SamplePlan, count: int) -> list[tuple[int, ...]]:
                 break
         else:
             raise GenericSamplingError(
-                f"no generic point in {plan.max_tries_per_point} tries for "
+                f"no generic point in {_MAX_TRIES_PER_POINT} tries for "
                 f"n={plan.n}, r={plan.r}, denominator={d}; use a larger denominator"
             )
         numerators.append(nums)
@@ -206,41 +229,39 @@ def _row(tests: Sequence[FlagTest], numerators: Sequence[int]) -> list[int]:
 @dataclass
 class RankReport:
     rank: int
-    points_used: int
-    stabilized: bool
+    points_used: int  # generic lattice points visited
+    denominator: int  # the last prime whose lattice was walked
 
 
 def rank_report(plates: Sequence[Plate], plan: SamplePlan) -> RankReport:
-    """Rank over Q of the evaluation matrix at sampled points, grown batch by
-    batch.
+    """Rank over Q of the plates' evaluation matrix at generic points a/D,
+    walking every generic lattice point of the plan's denominator in
+    lexicographic order (``_lattice``).  The seed plays no part.
 
     The rank is taken modulo a prime, a lower bound on the rational rank, so
-    full rank is exact and sampling stops there.  Otherwise sampling stops
-    (``stabilized``) once the rank has stayed unchanged for ``stable_window``
-    batches and for at least as many points as were drawn before its last
-    increase, or unstabilized at the point cap.  A rank short of full is then
-    recomputed over Q from the distinct sampled rows.
+    full rank is exact and the walk stops there.  When a whole lattice leaves
+    the rank short and the plan's denominator is not pinned, the walk goes on
+    to the next prime's lattice, until the rank is full or a lattice adds no
+    rank; each further lattice must raise the rank, so this ends.  A rank
+    short of full is then recomputed over Q from the distinct rows seen.
     """
     plates = list(plates)
+    d = plan.resolved_denominator
     if not plates:
-        return RankReport(0, 0, True)
+        return RankReport(0, 0, d)
     n, r = plates[0].n, plates[0].r
     if any(p.n != n or p.r != r for p in plates):
         raise ValueError("all plates must share n and r")
-    tests = [_flag_test(p, plan) for p in plates]
-    width = len(tests)
-    cap = plan.max_points_factor * (r ** (n - 1))
+    width = len(plates)
     ech = _ModEchelon(width)
-    # points in one chamber give equal rows, and most sampled rows repeat
+    # points in one chamber give equal rows, and most rows repeat
     distinct: set[bytes] = set()
     used = 0
-    stable = 0
-    grown_at = 0  # points drawn up to the end of the batch of the last increase
-    stabilized = False
-    while used < cap:
-        take = min(plan.batch, cap - used)
+    while True:
+        lattice_plan = replace(plan, denominator=d)
+        tests = [_flag_test(p, lattice_plan) for p in plates]
         before = ech.rank
-        for a in _sample_numerators(plan, used + take)[used:]:
+        for a in _lattice(n, r, d):
             used += 1
             row = _row(tests, a)
             key = bytes(row)
@@ -248,16 +269,12 @@ def rank_report(plates: Sequence[Plate], plan: SamplePlan) -> RankReport:
                 continue
             distinct.add(key)
             if ech.add_row(row) and ech.rank == width:
-                return RankReport(width, used, True)
-        if ech.rank > before:
-            stable, grown_at = 0, used
-            continue
-        stable += 1
-        if stable >= plan.stable_window and used >= 2 * grown_at:
-            stabilized = True
+                return RankReport(width, used, d)
+        if plan.denominator is not None or ech.rank == before:
             break
+        d = next_prime_above(d)
     # short of full rank: the rank mod P is only a lower bound
-    return RankReport(_exact_rank(width, distinct), used, stabilized)
+    return RankReport(_exact_rank(width, distinct), used, d)
 
 
 def rank_of_span(plates: Sequence[Plate], plan: SamplePlan) -> int:
@@ -374,7 +391,7 @@ class _BasisSolver:
     def __init__(self, basis: tuple[Plate, ...], plan: SamplePlan) -> None:
         dim = len(basis)
         n, r = basis[0].n, basis[0].r
-        cap = plan.max_points_factor * max(dim, r ** (n - 1))
+        cap = _MAX_POINTS_FACTOR * max(dim, r ** (n - 1))
         tests = [_flag_test(p, plan) for p in basis]
         ech = _ModEchelon(dim)
         chosen: list[int] = []  # indices of points with independent basis rows
@@ -386,7 +403,7 @@ class _BasisSolver:
                     f"basis evaluation matrix reached rank {len(chosen)} < {dim} "
                     f"within {used} points; the plate list is a.e. dependent"
                 )
-            take = min(plan.batch, cap - used)
+            take = min(_BATCH, cap - used)
             for i, a in enumerate(_sample_numerators(plan, used + take)[used:], used):
                 row = _row(tests, a)
                 if ech.add_row(row):
@@ -402,7 +419,7 @@ class _BasisSolver:
         # each keeps its subset-sum table (for targets) and basis support
         self.fit_points = chosen
         self.checks = []
-        for a in _sample_numerators(plan, used + plan.batch):
+        for a in _sample_numerators(plan, used + _BATCH):
             sums = _subset_sums(a)
             self.checks.append((a, sums, [j for j, t in enumerate(tests) if _holds(t, sums)]))
 
@@ -474,13 +491,12 @@ def _combination_terms(side, plan: SamplePlan) -> list[tuple[object, FlagTest]]:
     return [(c, _flag_test(p, plan)) for c, p in pairs]
 
 
-def verify_identity_ae(lhs, rhs, plan: SamplePlan, batches: int | None = None):
-    """Check two formal plate combinations agree at every sampled generic
-    point (``stable_window`` batches by default).  Returns (ok, witness)."""
+def verify_identity_ae(lhs, rhs, plan: SamplePlan):
+    """Check two formal plate combinations agree at the plan's first
+    ``_CHECK_POINTS`` sampled generic points.  Returns (ok, witness)."""
     lterms = _combination_terms(lhs, plan)
     rterms = _combination_terms(rhs, plan)
-    count = plan.batch * (batches if batches is not None else plan.stable_window)
-    for a in _sample_numerators(plan, count):
+    for a in _sample_numerators(plan, _CHECK_POINTS):
         sums = _subset_sums(a)
         if _eval_combination(lterms, sums) != _eval_combination(rterms, sums):
             return False, _point(a, plan.resolved_denominator)

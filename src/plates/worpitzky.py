@@ -98,11 +98,9 @@ def verify_categorified_worpitzky(n: int, r_max: int) -> WorpitzkyReport:
         if not classical_worpitzky_check(n, r):
             report.classical_ok = False
             report.failures.append(f"classical identity fails at r={r}")
+        syms = [sym_power_character(r - a, n) for a in range(1, n)]
         for lam in partitions(n):
-            rhs = sum(
-                sym_power_character(r - a, n).at(lam) * chis[a - 1].at(lam)
-                for a in range(1, n)
-            )
+            rhs = sum(sym.at(lam) * chi.at(lam) for sym, chi in zip(syms, chis))
             if gcd_formula(lam, r) != rhs:
                 report.residuals_ok = False
                 report.failures.append(f"residual at r={r}, class {lam}")

@@ -37,7 +37,7 @@ from plates.expansion import (
     qbasis_matrix,
     qplate_expand,
 )
-from plates.linalg import invert, mat_mul
+from matrix_helpers import invert, mat_mul
 from plates.oracle import SamplePlan, rank_of_span, verify_identity_ae
 from plates.translation import (
     diophantine_count,

@@ -1,7 +1,8 @@
-"""The benchmark's cyclotomic and symbolic command kinds, run at tiny sizes
-through the CLI and judged by the benchmark's own checks, so that a change
-which breaks a benchmark job fails here first.  ``benchmarks/workloads.py``
-is only read, never changed."""
+"""The benchmark's command kinds, run through the CLI and judged by the
+benchmark's own checks, so that a change which breaks a benchmark job fails
+here first.  Cyclotomic and symbolic jobs run at tiny sizes; the geometric
+``dims`` jobs run at benchmark sizes and at seeds where a sampled rank used
+to fall short.  ``benchmarks/workloads.py`` is only read, never changed."""
 
 import importlib.util
 import json
@@ -34,6 +35,11 @@ JOBS = [
     W.verify("characters", 4, 3, 0, "tiny"),
     W.verify("worpitzky", 3, 2, 0, "tiny"),
     W.verify("relations", 2, 3, 0, "tiny"),
+    W.dims(6, 2, 0, "full rank needs the next prime's lattice"),
+    W.dims(4, 3, 6006, "a seed where a sampled rank fell short"),
+    W.dims(4, 5, 28007, "a seed where a sampled rank fell short"),
+    W.verify("cyclic-sum", 3, 2, 0, "tiny"),
+    W.expand("q[[{2}_1 {1,3}_1]]", 0, "tiny"),
 ]
 
 

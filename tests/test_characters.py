@@ -29,7 +29,7 @@ from plates.combinatorics import (
     permutation_with_cycle_type,
 )
 from plates.exactnum import CyclotomicNumber
-from plates.linalg import invert, mat_mul
+from matrix_helpers import invert, mat_mul
 
 
 def entries_as_fractions(m):

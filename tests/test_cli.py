@@ -78,8 +78,33 @@ def test_dims(capsys):
     assert code == 0
     assert payload["standard_count"] == payload["rank"] == payload["expected"] == 4
     assert payload["match"] is True
-    assert payload["stabilized"] is True
-    assert "witnesses" not in payload
+    assert payload["denominator"] == 5
+    assert "witnesses" not in payload and "stabilized" not in payload
+
+
+def test_dims_ignores_the_seed(capsys):
+    outputs = {
+        run(capsys, "dims", "--n", "4", "--r", "3", "--seed", seed, "--json")
+        for seed in ("0", "6006", "28007")
+    }
+    assert len(outputs) == 1
+    code, out = outputs.pop()
+    assert code == 0 and json.loads(out)["rank"] == 27
+
+
+def test_dims_reaches_full_rank_at_small_default_denominator(capsys):
+    code, payload = run_json(capsys, "dims", "--n", "3", "--r", "5")
+    assert code == 0
+    assert (payload["rank"], payload["denominator"]) == (25, 5)
+
+
+def test_dims_pinned_denominator_reports_its_exact_rank(capsys):
+    code, payload = run_json(capsys, "dims", "--n", "6", "--r", "2", "--denominator", "7")
+    assert code == 1
+    assert (payload["rank"], payload["match"], payload["denominator"]) == (12, False, 7)
+    code, payload = run_json(capsys, "dims", "--n", "6", "--r", "2")
+    assert code == 0
+    assert (payload["rank"], payload["match"], payload["denominator"]) == (32, True, 11)
 
 
 def test_qbasis(capsys):

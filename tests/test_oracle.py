@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -16,6 +17,7 @@ from plates.oracle import (
     _flag_test,
     _holds,
     _is_generic,
+    _lattice,
     _sample_numerators,
     _subset_sums,
 )
@@ -70,7 +72,7 @@ def test_rank_examples():
     p = parse_plate("[[{1}_1 {2}_1]]")
     assert rank_of_span([p, p], SamplePlan(2, 2)) == 1
     report = rank_report(standard_basis(3, 2), SamplePlan(3, 2))
-    assert report.stabilized and report.rank == 4 and report.points_used > 0
+    assert report.denominator == 5 and report.rank == 4 and report.points_used > 0
 
 
 def test_integer_flag_test_matches_evaluate():
@@ -109,10 +111,36 @@ def test_rank_is_exact_under_a_tiny_modulus(monkeypatch, prime):
 
 
 def test_rank_stops_at_full_rank():
-    # three stable batches alone are too few here: rare chambers come late
     for seed in range(4):
         report = rank_report(standard_basis(4, 5), SamplePlan(4, 5, seed=seed))
-        assert report.rank == 125 and report.stabilized, seed
+        assert report.rank == 125 and report.denominator == 5, seed
+
+
+def _generic_compositions(n, r, d):
+    """Brute force: every composition of r*d into n nonnegative parts, kept
+    when no proper nonempty subset of a/d sums to an integer."""
+    total = r * d
+    subsets = range(1, (1 << n) - 1)
+    out = []
+    for head in product(range(total + 1), repeat=n - 1):
+        if sum(head) > total:
+            continue
+        a = (*head, total - sum(head))
+        if all(sum(v for i, v in enumerate(a) if m >> i & 1) % d for m in subsets):
+            out.append(a)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_lattice_is_every_generic_composition_in_order(d):
+    for n in range(1, 5):
+        for r in range(1, 4):
+            expected = _generic_compositions(n, r, d)
+            assert list(_lattice(n, r, d)) == expected, (n, r)
+            # the seeded sampler draws from the same set
+            for seed in range(4):
+                drawn = _sample_numerators(SamplePlan(n, r, seed=seed, denominator=d), 30)
+                assert set(drawn) <= set(expected), (n, r, seed)
 
 
 def test_rank_matches_dimension():
