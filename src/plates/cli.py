@@ -11,16 +11,13 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from .characters import (
-    ClassFunction,
+    ENGINES,
     NotACharacterError,
-    gcd_character,
+    character,
     irreducible_dimension,
     multiplicities,
-    plate_character,
-    plate_trace,
 )
 from .combinatorics import (
     PermutationParseError,
@@ -51,12 +48,7 @@ from .expansion import (
     qplate_expand,
 )
 from .oracle import SamplePlan, rank_report, verify_identity_ae
-from .translation import (
-    diophantine_count,
-    fixed_label_count,
-    ta_trace,
-    verify_partition_of_unity,
-)
+from .translation import fixed_label_count, verify_partition_of_unity
 from .worpitzky import classical_worpitzky_check, verify_categorified_worpitzky
 
 SCHEMA = 1
@@ -139,25 +131,8 @@ def cmd_act(args) -> int:
     return 0
 
 
-_ENGINES = ("plates", "translation", "diophantine", "formula")
-
-
-def _character_by_engine(engine: str, n: int, r: int) -> ClassFunction:
-    if engine == "plates":
-        return plate_character(n, r)
-    if engine == "formula":
-        return gcd_character(n, r)
-    table = {}
-    for lam in partitions(n):
-        if engine == "translation":
-            table[lam] = ta_trace(permutation_with_cycle_type(lam), n, r).to_fraction()
-        else:
-            table[lam] = diophantine_count(lam, r)
-    return ClassFunction.from_dict(n, table)
-
-
 def cmd_character(args) -> int:
-    chi = _character_by_engine(args.engine, args.n, args.r)
+    chi = character(args.engine, args.n, args.r)
     values = {_partition_key(lam): int(v) for lam, v in chi.values}
     payload = {
         "command": "character",
@@ -173,7 +148,7 @@ def cmd_character(args) -> int:
 
 
 def cmd_multiplicities(args) -> int:
-    chi = _character_by_engine(args.engine, args.n, args.r)
+    chi = character(args.engine, args.n, args.r)
     table = multiplicities(chi)
     payload = {
         "command": "multiplicities",
@@ -285,16 +260,8 @@ def _checks_characters(n: int, r: int):
         name = f"character class {_partition_key(lam)}"
 
         def check(lam=lam):
-            sigma = permutation_with_cycle_type(lam)
-            from .characters import gcd_formula
-
-            values = {
-                "plates": plate_trace(sigma, n, r).to_fraction(),
-                "translation": ta_trace(sigma, n, r).to_fraction(),
-                "diophantine": Fraction(diophantine_count(lam, r)),
-                "formula": Fraction(gcd_formula(lam, r)),
-                "fixed-labels": Fraction(fixed_label_count(sigma, n, r)),
-            }
+            values = {engine: value(lam, r) for engine, value in ENGINES.items()}
+            values["fixed-labels"] = fixed_label_count(permutation_with_cycle_type(lam), n, r)
             ok = len(set(values.values())) == 1
             return ok, None if ok else {k: str(v) for k, v in values.items()}
 
@@ -415,14 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("character", help="class-function table of the plate module")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--engine", choices=_ENGINES, default="formula")
+    p.add_argument("--engine", choices=tuple(ENGINES), default="formula")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_character)
 
     p = subs.add_parser("multiplicities", help="irreducible decomposition of the plate module")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--engine", choices=_ENGINES, default="formula")
+    p.add_argument("--engine", choices=tuple(ENGINES), default="formula")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_multiplicities)
 

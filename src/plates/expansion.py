@@ -24,7 +24,7 @@ from typing import Iterator
 from .combinatorics import Permutation
 from .core import Plate, apply_permutation, is_standard, print_plate, rotate, standard_basis
 from .exactnum import CyclotomicNumber, OrderMismatchError, q_pow
-from .linalg import rank_of
+from .linalg import Echelon
 
 LumpSeq = tuple[tuple[tuple[int, ...], int], ...]
 
@@ -253,4 +253,6 @@ def qbasis_matrix(n: int, r: int) -> tuple[list[list[CyclotomicNumber]], list[Pl
 
 def qbasis_is_invertible(n: int, r: int) -> bool:
     rows, basis = qbasis_matrix(n, r)
-    return rank_of(rows) == len(basis)
+    ech = Echelon(len(basis))
+    # square: invertible exactly when every row enlarges the span
+    return all(ech.add_row(row) for row in rows)

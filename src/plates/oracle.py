@@ -22,12 +22,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm
-from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .core import Plate
 from .exactnum import CyclotomicNumber
-from .linalg import Echelon, solve_square
+from .linalg import Echelon, inverse
 
 Point = tuple[Fraction, ...]
 FlagTest = tuple[tuple[int, int], ...]
@@ -41,12 +40,15 @@ class SpanError(RuntimeError):
     """Target is not in the almost-everywhere span of the basis."""
 
 
+def _is_prime(c: int) -> bool:
+    return c >= 2 and all(c % d for d in range(2, isqrt(c) + 1))
+
+
 def next_prime_above(n: int) -> int:
     c = n + 1
-    while True:
-        if c >= 2 and all(c % d for d in range(2, int(c**0.5) + 1)):
-            return c
+    while not _is_prime(c):
         c += 1
+    return c
 
 
 # The seeded sampler's fixed sizes: points per growth step of a basis solver
@@ -71,7 +73,7 @@ class SamplePlan:
         if self.n < 1 or self.r < 1:
             raise ValueError("need n >= 1 and r >= 1")
         d = self.resolved_denominator
-        if d <= self.n or any(d % p == 0 for p in range(2, int(d**0.5) + 1)):
+        if d <= self.n or not _is_prime(d):
             raise ValueError(f"denominator must be a prime > n, got {d}")
 
     @property
@@ -253,7 +255,7 @@ def rank_report(plates: Sequence[Plate], plan: SamplePlan) -> RankReport:
     if any(p.n != n or p.r != r for p in plates):
         raise ValueError("all plates must share n and r")
     width = len(plates)
-    ech = _ModEchelon(width)
+    ech = Echelon(width, _P)
     # points in one chamber give equal rows, and most rows repeat
     distinct: set[bytes] = set()
     used = 0
@@ -281,56 +283,13 @@ def rank_of_span(plates: Sequence[Plate], plan: SamplePlan) -> int:
     return rank_report(plates, plan).rank
 
 
-# Internal acceleration: ranks and solves run modulo a fixed prime, and every
-# answer is made exact before it is returned.  A rank mod P is a lower bound
-# on the rational rank, so only a full rank is returned from it; a short one
-# is recomputed by Fraction elimination.  A nonzero determinant mod P implies
-# exact invertibility, and reconstructed solve coefficients are only returned
-# after exact validation, with Fraction elimination when that fails.
+# Ranks and solves run modulo this prime, and every answer is exact before it
+# is returned.  A rank mod P is a lower bound on the rational rank, so only a
+# full rank is returned from it; a short one is recomputed by Fraction
+# elimination.  A nonzero determinant mod P proves exact invertibility, and
+# reconstructed solve coefficients are returned only after an exact check,
+# with a Fraction inverse when that fails.
 _P = (1 << 61) - 1  # Mersenne prime
-
-
-class _ModEchelon:
-    """Reduced row-echelon form mod P, grown one row at a time: each row has a
-    leading 1 at its pivot column and vanishes at every other pivot column.
-    Keeping the rows reduced lets ``add_row`` subtract all pivot rows in one
-    pass, which at width 256 (n=5, r=4) is 1.3-2x faster than plain forward
-    elimination."""
-
-    def __init__(self, width: int) -> None:
-        self.width = width
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def add_row(self, row: list[int]) -> bool:
-        """Insert a row; returns True when it enlarges the span mod P."""
-        # the rows are reduced, so the row's own entries at the pivot columns
-        # are the multiples of each pivot row to subtract
-        coeffs, picked = [], []
-        for prow, pcol in zip(self.rows, self.pivots):
-            if row[pcol] % _P:
-                coeffs.append(row[pcol])
-                picked.append(prow)
-        if picked:
-            row = [(v - sum(map(mul, coeffs, col))) % _P for v, col in zip(row, zip(*picked))]
-        else:
-            row = [v % _P for v in row]
-        for col, val in enumerate(row):
-            if val:
-                inv = pow(val, -1, _P)
-                new = [a * inv % _P for a in row]
-                for i, prow in enumerate(self.rows):
-                    c = prow[col]
-                    if c:
-                        self.rows[i] = [(a - c * b) % _P for a, b in zip(prow, new)]
-                self.rows.append(new)
-                self.pivots.append(col)
-                return True
-        return False
 
 
 def _common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -343,28 +302,8 @@ def _exact_rank(width: int, rows: Iterable[bytes]) -> int:
     """Rank over Q of 0/1 rows, by Fraction elimination."""
     exact = Echelon(width)
     for row in rows:
-        exact.add_row([Fraction(v) for v in row])
+        exact.add_row(row)
     return exact.rank
-
-
-def _mod_invert(matrix: list[list[int]]) -> list[list[int]] | None:
-    m = len(matrix)
-    aug = [
-        [v % _P for v in row] + [1 if i == j else 0 for j in range(m)]
-        for i, row in enumerate(matrix)
-    ]
-    for col in range(m):
-        pr = next((i for i in range(col, m) if aug[i][col]), None)
-        if pr is None:
-            return None
-        aug[col], aug[pr] = aug[pr], aug[col]
-        inv = pow(aug[col][col], -1, _P)
-        aug[col] = [a * inv % _P for a in aug[col]]
-        for i in range(m):
-            if i != col and aug[i][col]:
-                c = aug[i][col]
-                aug[i] = [(a - c * b) % _P for a, b in zip(aug[i], aug[col])]
-    return [row[m:] for row in aug]
 
 
 def _rational_reconstruct(c: int) -> Fraction | None:
@@ -393,7 +332,7 @@ class _BasisSolver:
         n, r = basis[0].n, basis[0].r
         cap = _MAX_POINTS_FACTOR * max(dim, r ** (n - 1))
         tests = [_flag_test(p, plan) for p in basis]
-        ech = _ModEchelon(dim)
+        ech = Echelon(dim, _P)
         chosen: list[int] = []  # indices of points with independent basis rows
         matrix: list[list[int]] = []
         used = 0
@@ -414,7 +353,8 @@ class _BasisSolver:
             used += take
         self.plan = plan
         self.matrix = matrix
-        self.mod_inverse = _mod_invert(matrix)
+        self.mod_inverse = inverse(matrix, _P)
+        self.exact_inverse = None  # over Q, built on the first fallback
         # every sampled point participates in validation, plus a fresh batch;
         # each keeps its subset-sum table (for targets) and basis support
         self.fit_points = chosen
@@ -448,11 +388,13 @@ class _BasisSolver:
         rhs = [_holds(test, self.checks[i][1]) for i in self.fit_points]
         coeffs = self._solve_fast(rhs)
         if coeffs is None:
-            coeffs = solve_square(
-                [[Fraction(v) for v in row] for row in self.matrix],
-                [Fraction(v) for v in rhs],
-            )
-            assert coeffs is not None, "chosen rows are independent by construction"
+            if self.exact_inverse is None:
+                self.exact_inverse = inverse(self.matrix)
+                assert self.exact_inverse is not None, "chosen rows are independent by construction"
+            coeffs = [
+                sum((a * b for a, b in zip(row, rhs) if b), Fraction(0))
+                for row in self.exact_inverse
+            ]
         scale, scaled = _common_denominator(coeffs)
         for a, sums, support in self.checks:
             if sum(scaled[j] for j in support) != scale * _holds(test, sums):

@@ -12,6 +12,7 @@ counting of character values.
 from __future__ import annotations
 
 import itertools
+import random
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -281,13 +282,19 @@ def fixed_label_count(sigma: Permutation, n: int, r: int) -> int:
     return count
 
 
-def verify_partition_of_unity(n: int, r: int, exhaustive_cap: int = 4096, sample_pairs: int = 64):
+# The pair check of verify_partition_of_unity is exhaustive up to this r^n,
+# and above it checks this many pairs drawn with a fixed seed.
+_EXHAUSTIVE_CAP = 4096
+_SAMPLE_PAIRS = 64
+
+
+def verify_partition_of_unity(n: int, r: int):
     """Check the idempotent family: orthogonality, completeness, and the
     eigen-relations e_j eps = q^{i_j} eps and (e_1...e_n) eps = q eps.
 
     All labels are checked individually; the quadratic pair check is
-    exhaustive when r^n <= exhaustive_cap, else a deterministic sample.
-    Returns (ok, details dict).
+    exhaustive when r^n <= _EXHAUSTIVE_CAP, else a deterministic sample of
+    _SAMPLE_PAIRS pairs.  Returns (ok, details dict).
     """
     labels = admissible_labels(n, r)
     eps = {label: idempotent(label, r) for label in labels}
@@ -313,12 +320,10 @@ def verify_partition_of_unity(n: int, r: int, exhaustive_cap: int = 4096, sample
         if prod != e.scale(q_pow(r, 1)):
             failures.append(f"(e_1...e_n) eigenvalue fails for {label}")
 
-    import random
-
     pairs = [(a, b) for a in labels for b in labels if a != b]
-    if r**n > exhaustive_cap:
+    if r**n > _EXHAUSTIVE_CAP:
         rng = random.Random(2718281828 + n * 31 + r)
-        pairs = rng.sample(pairs, min(sample_pairs, len(pairs)))
+        pairs = rng.sample(pairs, min(_SAMPLE_PAIRS, len(pairs)))
         checked = "sampled"
     else:
         checked = "exhaustive"

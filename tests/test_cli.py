@@ -160,7 +160,7 @@ def test_non_character_exits_1(capsys, monkeypatch):
     from plates.characters import ClassFunction
 
     half = ClassFunction.from_dict(2, {(1, 1): 1, (2,): 0})  # <chi, trivial> = 1/2
-    monkeypatch.setattr(plates.cli, "_character_by_engine", lambda engine, n, r: half)
+    monkeypatch.setattr(plates.cli, "character", lambda engine, n, r: half)
     code = main(["multiplicities", "--n", "2", "--r", "2", "--json"])
     assert code == 1
     assert "not a character" in capsys.readouterr().err

@@ -96,9 +96,10 @@ def test_rank_is_exact_under_a_tiny_modulus(monkeypatch, prime):
     fallbacks = []
 
     class CountingEchelon(oracle.Echelon):
-        def __init__(self, width):
-            fallbacks.append(width)
-            super().__init__(width)
+        def __init__(self, width, modulus=None):
+            if modulus is None:  # the exact fallback, not the modular pass
+                fallbacks.append(width)
+            super().__init__(width, modulus)
 
     monkeypatch.setattr(oracle, "Echelon", CountingEchelon)
     assert rank_of_span(standard_basis(3, 3), SamplePlan(3, 3)) == 9

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from plates import translation
 from plates.characters import gcd_formula, plate_character
 from plates.combinatorics import (
     Permutation,
@@ -171,9 +172,11 @@ def test_partition_of_unity(n, r):
     assert details["pair_mode"] == "exhaustive"
 
 
-def test_partition_of_unity_sampled_mode():
+def test_partition_of_unity_sampled_mode(monkeypatch):
     # force the sampled-pair path with a tiny cap; the algebra stays small
-    ok, details = verify_partition_of_unity(3, 3, exhaustive_cap=4, sample_pairs=20)
+    monkeypatch.setattr(translation, "_EXHAUSTIVE_CAP", 4)
+    monkeypatch.setattr(translation, "_SAMPLE_PAIRS", 20)
+    ok, details = verify_partition_of_unity(3, 3)
     assert ok, details
     assert details["pair_mode"] == "sampled"
     assert details["checked_pairs"] == 20
