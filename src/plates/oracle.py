@@ -20,7 +20,7 @@ import hashlib
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import islice
 from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -93,40 +93,53 @@ def _subset_sums(numerators: Sequence[int]) -> list[int]:
     return sums
 
 
+def _reach(reach: int, a: int, d: int) -> int:
+    """Fold part a into ``reach``, the d-bit set of residues mod d that the
+    nonempty subsets of the parts so far sum to: each old subset with and
+    without a, and a alone."""
+    m = a % d
+    return reach | ((reach << m | reach >> (d - m)) & ((1 << d) - 1)) | 1 << m
+
+
 def _is_generic(numerators: Sequence[int], d: int) -> bool:
     """No proper nonempty subset of a/d coordinates sums to an integer.
 
-    Complementary subsets are equivalent (the total is an integer), so only
-    subsets containing the first coordinate are checked.
+    The numerators must total a multiple of d.  Then a subset and its
+    complement are equivalent, and every proper nonempty subset or its
+    complement omits the last coordinate, so it is enough that no nonempty
+    subset of the others sums to 0 mod d.
     """
-    # the subset-sum table of _subset_sums, built inline in mask order so that
-    # most candidates are rejected after a few masks: at n=6, r=2 the lattice
-    # walk keeps 42 of 1287 compositions at D=7 and 2274 of 20349 at D=11,
-    # and calling _subset_sums then scanning makes rank_report there about
-    # 2x slower
-    sums = [0] * (1 << len(numerators))
-    for mask in range(1, len(sums) - 1):
-        low = mask & (-mask)
-        s = sums[mask] = sums[mask ^ low] + numerators[low.bit_length() - 1]
-        if mask & 1 and s % d == 0:  # odd masks contain coordinate 1
+    reach = 0
+    for a in numerators[:-1]:
+        reach = _reach(reach, a, d)
+        if reach & 1:
             return False
     return True
 
 
-def _lattice(n: int, r: int, d: int) -> Iterator[tuple[int, ...]]:
-    """Numerators a of every generic point a/d of the (n, r) slice, in
-    lexicographic order.
+def _compositions(n: int, total: int, d: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """(a, _subset_sums(a)) for every composition a of ``total`` into n
+    positive parts that passes ``_is_generic``, in lexicographic order.
 
-    These are the compositions of r*d into n parts that pass ``_is_generic``,
-    which is exactly the set the seeded sampler draws from: a zero part is
-    never generic when n >= 2, so positive parts lose nothing.
+    With total = r*d these are the numerators of every generic point a/d of
+    the (n, r) slice, which is exactly the set the seeded sampler draws from:
+    a zero part is never generic when n >= 2, so positive parts lose nothing.
+    The walk is depth-first with ascending parts, and a prefix is dropped as
+    soon as one of its subsets sums to 0 mod d, so no descendant of it is
+    tried.
     """
-    total = r * d
-    for cuts in combinations(range(1, total), n - 1):
-        bounds = (0, *cuts, total)
-        nums = tuple(b - a for a, b in zip(bounds, bounds[1:]))
-        if _is_generic(nums, d):
-            yield nums
+
+    def walk(prefix: tuple[int, ...], left: int, reach: int, sums: list[int]):
+        k = n - len(prefix)  # parts still to choose, each at least 1
+        if k == 1:
+            yield (*prefix, left), sums + [s + left for s in sums]
+            return
+        for a in range(1, left - k + 2):
+            folded = _reach(reach, a, d)
+            if not folded & 1:
+                yield from walk((*prefix, a), left - a, folded, sums + [s + a for s in sums])
+
+    return walk((), total, 0, [0])
 
 
 def _seed_int(plan: SamplePlan) -> int:
@@ -235,16 +248,37 @@ class RankReport:
     denominator: int  # the last prime whose lattice was walked
 
 
+def _gf2_insert(pivots: dict[int, int], row: int) -> bool:
+    """Add a 0/1 row, packed into an int, to a GF(2) row space kept as
+    {leading bit: row}; returns True when it enlarges the span."""
+    while row:
+        top = row.bit_length() - 1
+        pivot = pivots.get(top)
+        if pivot is None:
+            pivots[top] = row
+            return True
+        row ^= pivot
+    return False
+
+
+def _unpack(row: int, width: int) -> list[int]:
+    return [row >> j & 1 for j in range(width)]
+
+
 def rank_report(plates: Sequence[Plate], plan: SamplePlan) -> RankReport:
     """Rank over Q of the plates' evaluation matrix at generic points a/D,
     walking every generic lattice point of the plan's denominator in
-    lexicographic order (``_lattice``).  The seed plays no part.
+    lexicographic order (``_compositions``).  The seed plays no part.
 
-    The rank is taken modulo a prime, a lower bound on the rational rank, so
-    full rank is exact and the walk stops there.  When a whole lattice leaves
-    the rank short and the plan's denominator is not pinned, the walk goes on
-    to the next prime's lattice, until the rank is full or a lattice adds no
-    rank; each further lattice must raise the rank, so this ends.  A rank
+    Rows are 0/1, so each is packed into an int (bit j for plate j) and the
+    rank is first taken mod 2.  A rank mod a prime is a lower bound on the
+    rational rank, so full rank mod 2 is exact and the walk stops there.  At
+    the end of a lattice that leaves the rank mod 2 short, the distinct rows
+    are replayed in first-seen order modulo the large prime P, which stops at
+    the row that completes the rank, if any.  When the rank mod P is still
+    short and the plan's denominator is not pinned, the walk goes on to the
+    next prime's lattice, until the rank is full or a lattice adds no rank
+    mod P; each further lattice must raise the rank, so this ends.  A rank
     short of full is then recomputed over Q from the distinct rows seen.
     """
     plates = list(plates)
@@ -255,28 +289,37 @@ def rank_report(plates: Sequence[Plate], plan: SamplePlan) -> RankReport:
     if any(p.n != n or p.r != r for p in plates):
         raise ValueError("all plates must share n and r")
     width = len(plates)
+    gf2: dict[int, int] = {}
     ech = Echelon(width, _P)
-    # points in one chamber give equal rows, and most rows repeat
-    distinct: set[bytes] = set()
+    # points in one chamber give equal rows, and most rows repeat; each
+    # distinct row keeps the number of points visited when it was first seen
+    first_seen: dict[int, int] = {}
+    replayed = 0
     used = 0
     while True:
         lattice_plan = replace(plan, denominator=d)
         tests = [_flag_test(p, lattice_plan) for p in plates]
-        before = ech.rank
-        for a in _lattice(n, r, d):
+        for a, sums in _compositions(n, r * d, d):
             used += 1
-            row = _row(tests, a)
-            key = bytes(row)
-            if key in distinct:
+            row = 0
+            for j, test in enumerate(tests):
+                if _holds(test, sums):
+                    row |= 1 << j
+            if row in first_seen:
                 continue
-            distinct.add(key)
-            if ech.add_row(row) and ech.rank == width:
+            first_seen[row] = used
+            if _gf2_insert(gf2, row) and len(gf2) == width:
                 return RankReport(width, used, d)
+        before = ech.rank
+        for row, seen_at in islice(first_seen.items(), replayed, None):
+            if ech.add_row(_unpack(row, width)) and ech.rank == width:
+                return RankReport(width, seen_at, d)
+        replayed = len(first_seen)
         if plan.denominator is not None or ech.rank == before:
             break
         d = next_prime_above(d)
     # short of full rank: the rank mod P is only a lower bound
-    return RankReport(_exact_rank(width, distinct), used, d)
+    return RankReport(_exact_rank(width, first_seen), used, d)
 
 
 def rank_of_span(plates: Sequence[Plate], plan: SamplePlan) -> int:
@@ -298,11 +341,11 @@ def _common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     return scale, [int(v * scale) for v in values]
 
 
-def _exact_rank(width: int, rows: Iterable[bytes]) -> int:
-    """Rank over Q of 0/1 rows, by Fraction elimination."""
+def _exact_rank(width: int, rows: Iterable[int]) -> int:
+    """Rank over Q of packed 0/1 rows, by Fraction elimination."""
     exact = Echelon(width)
     for row in rows:
-        exact.add_row(row)
+        exact.add_row(_unpack(row, width))
     return exact.rank
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from plates import oracle
 from plates.core import Plate, all_plates, evaluate, parse_plate, rotate, standard_basis
+from plates.linalg import Echelon
 from plates.oracle import (
     SamplePlan,
     SpanError,
@@ -14,10 +15,11 @@ from plates.oracle import (
     sample_generic,
     solve_in_basis,
     verify_identity_ae,
+    _compositions,
     _flag_test,
+    _gf2_insert,
     _holds,
     _is_generic,
-    _lattice,
     _sample_numerators,
     _subset_sums,
 )
@@ -111,37 +113,110 @@ def test_rank_is_exact_under_a_tiny_modulus(monkeypatch, prime):
         assert fallbacks  # the GF(2) rank of all plates is short over Q
 
 
-def test_rank_stops_at_full_rank():
-    for seed in range(4):
-        report = rank_report(standard_basis(4, 5), SamplePlan(4, 5, seed=seed))
-        assert report.rank == 125 and report.denominator == 5, seed
+def test_rank_is_exact_when_gf2_accepts_no_row(monkeypatch):
+    # with no rank mod 2, every rank must come from the mod-P replay at the
+    # end of each lattice, and a short one from the Fraction fallback
+    monkeypatch.setattr(oracle, "_gf2_insert", lambda pivots, row: False)
+    assert rank_of_span(standard_basis(3, 3), SamplePlan(3, 3)) == 9
+    p = parse_plate("[[{1}_1 {2}_1]]")
+    assert rank_of_span([p, p], SamplePlan(2, 2)) == 1
+    assert rank_of_span(list(all_plates(3, 2)), SamplePlan(3, 2)) == 4
+    assert rank_of_span(list(all_plates(4, 2)), SamplePlan(4, 2)) == 8
+    # the replay stops at the row that completes the rank
+    for n, r, d, expected in ((4, 3, None, (27, 73, 5)), (6, 2, None, (32, 1244, 11)), (6, 2, 7, (12, 42, 7))):
+        report = rank_report(standard_basis(n, r), SamplePlan(n, r, denominator=d))
+        assert (report.rank, report.points_used, report.denominator) == expected, (n, r, d)
+
+
+def _pack(row):
+    return sum(v << j for j, v in enumerate(row))
+
+
+def test_gf2_rank_is_the_rank_mod_2():
+    rng = random.Random(11)
+    # rank 2 mod 2 but 3 over Q: the rows sum to twice (1, 1, 1)
+    matrices = [[[1, 1, 0], [0, 1, 1], [1, 0, 1]]]
+    for _ in range(60):
+        width, height = rng.randint(1, 12), rng.randint(1, 16)
+        density = rng.choice((0.1, 0.5, 0.9))
+        matrices.append([[int(rng.random() < density) for _ in range(width)] for _ in range(height)])
+    strict = 0
+    for matrix in matrices:
+        width = len(matrix[0])
+        pivots = {}
+        for row in matrix:
+            _gf2_insert(pivots, _pack(row))
+        mod2, exact = Echelon(width, 2), Echelon(width)
+        for row in matrix:
+            mod2.add_row(row)
+            exact.add_row(row)
+        assert len(pivots) == mod2.rank <= exact.rank, matrix
+        strict += mod2.rank < exact.rank
+    assert strict  # some matrix is short mod 2
+
+
+@pytest.mark.parametrize(
+    "n, r, d, rank, points_used, denominator",
+    [
+        (4, 3, None, 27, 73, 5),
+        (4, 5, None, 125, 337, 5),
+        (3, 5, None, 25, 145, 5),
+        (5, 4, None, 256, 1126, 7),
+        (6, 2, None, 32, 1244, 11),
+        (7, 2, None, 64, 1576, 11),
+        (6, 2, 7, 12, 42, 7),
+    ],
+)
+def test_rank_stops_at_full_rank(n, r, d, rank, points_used, denominator):
+    basis = standard_basis(n, r)
+    report = rank_report(basis, SamplePlan(n, r, denominator=d))
+    assert (report.rank, report.points_used, report.denominator) == (rank, points_used, denominator)
+    # the walk does not depend on the seed
+    assert rank_report(basis, SamplePlan(n, r, seed=1, denominator=d)) == report
+
+
+def _brute_generic(a, d):
+    """No proper nonempty subset of a/d sums to an integer."""
+    return all(sum(v for i, v in enumerate(a) if m >> i & 1) % d for m in range(1, (1 << len(a)) - 1))
 
 
 def _generic_compositions(n, r, d):
-    """Brute force: every composition of r*d into n nonnegative parts, kept
-    when no proper nonempty subset of a/d sums to an integer."""
+    """Brute force: every composition of r*d into n nonnegative parts that
+    passes ``_brute_generic``."""
     total = r * d
-    subsets = range(1, (1 << n) - 1)
     out = []
     for head in product(range(total + 1), repeat=n - 1):
         if sum(head) > total:
             continue
         a = (*head, total - sum(head))
-        if all(sum(v for i, v in enumerate(a) if m >> i & 1) % d for m in subsets):
+        if _brute_generic(a, d):
             out.append(a)
     return sorted(out)
 
 
-@pytest.mark.parametrize("d", [5, 7])
+@pytest.mark.parametrize("d", [5, 7, 11])
 def test_lattice_is_every_generic_composition_in_order(d):
     for n in range(1, 5):
         for r in range(1, 4):
             expected = _generic_compositions(n, r, d)
-            assert list(_lattice(n, r, d)) == expected, (n, r)
+            walked = list(_compositions(n, r * d, d))
+            assert [a for a, _ in walked] == expected, (n, r)
+            for a, sums in walked:
+                assert sums == _subset_sums(a), a
             # the seeded sampler draws from the same set
             for seed in range(4):
                 drawn = _sample_numerators(SamplePlan(n, r, seed=seed, denominator=d), 30)
                 assert set(drawn) <= set(expected), (n, r, seed)
+    # the residue fold agrees with every subset sum on candidates the sampler
+    # would draw, zero parts included
+    rng = random.Random(d)
+    for n in range(1, 7):
+        for r in range(1, 4):
+            total = r * d
+            for _ in range(100):
+                bounds = [0, *sorted(rng.randint(0, total) for _ in range(n - 1)), total]
+                a = tuple(y - x for x, y in zip(bounds, bounds[1:]))
+                assert _is_generic(a, d) == _brute_generic(a, d), a
 
 
 def test_rank_matches_dimension():
