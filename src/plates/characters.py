@@ -22,7 +22,7 @@ from .combinatorics import (
 )
 from .core import Plate, apply_permutation, standard_basis
 from .exactnum import CyclotomicNumber
-from .expansion import expand
+from .expansion import diagonal_coefficient, expand, unmerged_slots
 from .translation import diophantine_count, ta_trace
 
 
@@ -95,9 +95,11 @@ class ActionMatrix:
 
 
 def action_matrix(sigma: Permutation, n: int, r: int) -> ActionMatrix:
-    """The full matrix of sigma on the standard basis.  Characters need only
-    its diagonal and use plate_trace; the matrix serves checks that multiply
-    or conjugate action matrices."""
+    """The full matrix of sigma on the standard basis, one expand per column.
+    Characters need only its diagonal, which plate_trace reads from the
+    unmerged shuffles without expanding; the matrix serves checks that
+    multiply or conjugate action matrices, and its trace cross-checks
+    plate_trace."""
     basis = standard_basis(n, r)
     index = {p: i for i, p in enumerate(basis)}
     zero = CyclotomicNumber.zero(r)
@@ -114,11 +116,18 @@ def action_matrix(sigma: Permutation, n: int, r: int) -> ActionMatrix:
 
 def plate_trace(sigma: Permutation, n: int, r: int) -> CyclotomicNumber:
     """Trace of a permutation on the standard basis, from the diagonal alone:
-    the sum over basis plates p of the p-coefficient of expand(sigma . p)."""
-    acc = CyclotomicNumber.zero(r)
+    the sum over basis plates p of the p-coefficient of expand(sigma . p),
+    read by ``diagonal_coefficient`` without expanding.  The slots depend on
+    p's blocks only, and the basis lists its plates one ordered set partition
+    at a time, so they are found once per partition."""
+    total = 0
+    slots_of: dict = {}  # p.blocks -> unmerged_slots(sigma, p.blocks)
     for p in standard_basis(n, r):
-        acc = acc + expand(apply_permutation(sigma, p)).coefficient(p)
-    return acc
+        blocks = p.blocks
+        if blocks not in slots_of:
+            slots_of[blocks] = unmerged_slots(sigma, blocks)
+        total += diagonal_coefficient(slots_of[blocks], p.positions)
+    return CyclotomicNumber.from_rational(r, total)
 
 
 def gcd_formula(lam: tuple[int, ...], r: int) -> int:

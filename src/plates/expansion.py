@@ -13,6 +13,9 @@ against the geometric oracle on exhaustive small cases:
     containing 1 never absorbs a B-lump.
 
 A term with n_L output lumps carries sign (-1)^{m-1} * (-1)^{k-n_L}.
+Characters need only the diagonal of the action, which is the case
+n_L = k: ``unmerged_slots`` and ``diagonal_coefficient`` read it without
+expanding.
 """
 
 from __future__ import annotations
@@ -159,6 +162,55 @@ def _merged_runs(a_pairs, b_pairs, first: bool) -> Iterator[LumpSeq]:
 def _fuse(pairs) -> tuple[tuple[int, ...], int]:
     elements = tuple(sorted(e for block, _ in pairs for e in block))
     return elements, sum(pos for _, pos in pairs)
+
+
+def unmerged_slots(sigma: Permutation, blocks) -> tuple[int, ...] | None:
+    """For a plate p with these blocks and q = sigma . p: the slot of q that
+    holds each lump of p, in p's order, when p's block sequence is that of an
+    unmerged shuffle of q (the case of ``_merged_runs`` where every run holds
+    one lump); None when it is not.
+
+    An unmerged shuffle interleaves A = (slots m, m-1, ..., 0) with
+    B = (slots m+1, ..., k-1), A first, where slot m holds 1, so p must be
+    standard.  Lumps are disjoint, so distinct shuffles have distinct block
+    sequences: at most one matches p.  Most sigma map some lump of p off p's
+    blocks, so lumps are tested one at a time and the first miss returns.
+    """
+    if 1 not in blocks[0]:
+        return None
+    images = sigma.images
+    index = {block: t for t, block in enumerate(blocks)}
+    slots = [0] * len(blocks)
+    for j, block in enumerate(blocks):  # slot j of q holds sigma(block)
+        t = index.get(tuple(sorted([images[e - 1] for e in block])))
+        if t is None:
+            return None
+        slots[t] = j
+    next_a = slots[0]  # m: p's first lump holds 1
+    next_b = next_a + 1
+    for j in slots:
+        if j == next_a:
+            next_a -= 1
+        elif j == next_b:
+            next_b += 1
+        else:
+            return None
+    return tuple(slots)
+
+
+def diagonal_coefficient(slots: tuple[int, ...] | None, positions) -> int:
+    """The p-coefficient of expand(sigma . p), given p's positions and
+    ``unmerged_slots(sigma, p.blocks)``.
+
+    sigma . p has p's positions in its own slot order, and every merge lowers
+    the lump count, so only an unmerged shuffle can equal p: it does when each
+    lump of p sits at the position of the slot it comes from, and then it
+    carries sign (-1)^{m-1}, m = slots[0] + 1.  No other term of the
+    expansion is p, so nothing cancels.
+    """
+    if slots is None or any(positions[t] != positions[j] for t, j in enumerate(slots)):
+        return 0
+    return -1 if slots[0] % 2 else 1
 
 
 def lumped_shuffles(a_pairs, b_pairs) -> list[tuple[LumpSeq, int]]:

@@ -236,9 +236,18 @@ def _holds(test: FlagTest, sums: list[int]) -> int:
     return 1
 
 
-def _row(tests: Sequence[FlagTest], numerators: Sequence[int]) -> list[int]:
-    sums = _subset_sums(numerators)
-    return [_holds(t, sums) for t in tests]
+def _row(tests: Sequence[FlagTest], sums: list[int]) -> int:
+    """The plates' 0/1 row at the point whose subset-sum table is ``sums``,
+    packed into an int (bit j for tests[j]); ``_holds`` inlined, as this runs
+    once per lattice point for every plate."""
+    row = 0
+    for j, test in enumerate(tests):
+        for mask, bound in test:
+            if sums[mask] < bound:
+                break
+        else:
+            row |= 1 << j
+    return row
 
 
 @dataclass
@@ -301,10 +310,7 @@ def rank_report(plates: Sequence[Plate], plan: SamplePlan) -> RankReport:
         tests = [_flag_test(p, lattice_plan) for p in plates]
         for a, sums in _compositions(n, r * d, d):
             used += 1
-            row = 0
-            for j, test in enumerate(tests):
-                if _holds(test, sums):
-                    row |= 1 << j
+            row = _row(tests, sums)
             if row in first_seen:
                 continue
             first_seen[row] = used
@@ -387,7 +393,7 @@ class _BasisSolver:
                 )
             take = min(_BATCH, cap - used)
             for i, a in enumerate(_sample_numerators(plan, used + take)[used:], used):
-                row = _row(tests, a)
+                row = _unpack(_row(tests, _subset_sums(a)), dim)
                 if ech.add_row(row):
                     chosen.append(i)
                     matrix.append(row)
@@ -404,7 +410,8 @@ class _BasisSolver:
         self.checks = []
         for a in _sample_numerators(plan, used + _BATCH):
             sums = _subset_sums(a)
-            self.checks.append((a, sums, [j for j, t in enumerate(tests) if _holds(t, sums)]))
+            row = _row(tests, sums)
+            self.checks.append((a, sums, [j for j in range(dim) if row >> j & 1]))
 
     def _solve_fast(self, rhs: list[int]) -> list[Fraction] | None:
         if self.mod_inverse is None:

@@ -28,8 +28,11 @@ from plates.combinatorics import (
     partitions,
     permutation_with_cycle_type,
 )
+from plates.core import apply_permutation, standard_basis
 from plates.exactnum import CyclotomicNumber
+from plates.expansion import diagonal_coefficient, expand, unmerged_slots
 from matrix_helpers import invert, mat_mul
+from test_exactnum import given
 
 
 def entries_as_fractions(m):
@@ -90,8 +93,38 @@ def test_plate_character_values():
         assert all(v == 1 for _, v in plate_character(2, 1).values)
 
 
+def _diagonal(sigma, p):
+    return diagonal_coefficient(unmerged_slots(sigma, p.blocks), p.positions)
+
+
+@pytest.mark.parametrize(
+    "n, r", [(n, r) for n in range(1, 5) for r in range(1, 5)] + [(5, r) for r in range(1, 4)]
+)
+def test_diagonal_coefficient_equals_expand_coefficient(n, r):
+    basis = standard_basis(n, r)
+    for sigma in all_permutations(n):
+        for p in basis:
+            want = expand(apply_permutation(sigma, p)).coefficient(p).to_fraction()
+            assert _diagonal(sigma, p) == want, (sigma, str(p))
+
+
+def test_unmerged_slots_examples():
+    swap, cycle = parse_permutation("(1 2)", 3), parse_permutation("(1 2 3)", 3)
+    # (1 2) . [[{1} {2} {3}]] = [[{2} {1} {3}]]: A = (slot 1, slot 0), B = (slot 2)
+    assert unmerged_slots(swap, ((1,), (2,), (3,))) == (1, 0, 2)
+    assert diagonal_coefficient((1, 0, 2), (1, 1, 1)) == -1
+    assert diagonal_coefficient((1, 0, 2), (1, 2, 1)) == 0  # positions move with the lumps
+    # (1 2) . [[{1} {3} {2}]] = [[{2} {3} {1}]]: all of A, in order
+    assert unmerged_slots(swap, ((1,), (3,), (2,))) == (2, 1, 0)
+    # (1 2 3) . [[{1} {2} {3}]] = [[{2} {3} {1}]]: A out of order
+    assert unmerged_slots(cycle, ((1,), (2,), (3,))) is None
+    assert unmerged_slots(Permutation.identity(2), ((2,), (1,))) is None  # not standard
+    assert unmerged_slots(swap, ((1,), (2, 3))) is None  # {1} maps off the blocks
+    assert diagonal_coefficient(None, (1, 1)) == 0
+
+
 def test_plate_character_matches_closed_form():
-    for n in range(1, 5):
+    for n in range(1, 7):
         for r in range(1, 5):
             assert plate_character(n, r).as_dict() == gcd_character(n, r).as_dict(), (n, r)
 
@@ -235,3 +268,35 @@ def test_trivial_multiplicity_series():
     assert trivial_multiplicity_series(4, 6) == [1, 2, 5, 8, 14, 20]
     # n=3, r=2 worked example: (1*4 + 3*2 + 2*1) / 6 = 2
     assert trivial_multiplicity_series(3, 2)[-1] == 2
+
+
+# ---------------------------------------------------------------------------
+# properties of the diagonal rule and the action, on random plates
+
+
+def _sigma_tau_plate(st):
+    """(sigma, tau, p): two permutations of S_n and a standard basis plate
+    of (n, r), with n <= 6 and r <= 6."""
+
+    def draw(nr):
+        n, r = nr
+        perm = st.permutations(range(1, n + 1)).map(lambda images: Permutation(tuple(images)))
+        plate = st.integers(0, r ** (n - 1) - 1).map(lambda i: standard_basis(n, r)[i])
+        return st.tuples(perm, perm, plate)
+
+    return st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(draw)
+
+
+@given(_sigma_tau_plate)
+def test_diagonal_rule_on_random_plates(drawn):
+    sigma, _, p = drawn
+    want = expand(apply_permutation(sigma, p)).coefficient(p).to_fraction()
+    assert _diagonal(sigma, p) == want
+
+
+@given(_sigma_tau_plate)
+def test_permutation_action_is_homomorphism(drawn):
+    sigma, tau, p = drawn
+    assert apply_permutation(compose(sigma, tau), p) == apply_permutation(
+        sigma, apply_permutation(tau, p)
+    )
