@@ -69,7 +69,6 @@ from .oracle import (
     GenericSamplingError,
     SamplePlan,
     SpanError,
-    rank_of_span,
     sample_generic,
     solve_in_basis,
     verify_identity_ae,
@@ -82,7 +81,6 @@ from .translation import (
     idempotent,
     normalize_word,
     ta_act,
-    ta_multiply,
     ta_trace,
     verify_partition_of_unity,
 )

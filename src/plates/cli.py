@@ -1,8 +1,9 @@
 """Command-line interface: expansions, characters, and verification suites.
 
-Exit codes: 0 success, 1 verification failure (witness in the JSON), 2 usage
-errors.  With --json the stdout payload is deterministic for fixed flags and
-seed (per-check timings go to stderr, never into the JSON).
+Exit codes: 0 success, 1 verification failure (witness in the JSON, or an
+error on stderr when the oracle cannot fit or sample), 2 usage errors.  With
+--json the stdout payload is deterministic for fixed flags and seed (per-check
+timings go to stderr, never into the JSON).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .expansion import (
     qplate,
     qplate_expand,
 )
-from .oracle import SamplePlan, rank_report, verify_identity_ae
+from .oracle import GenericSamplingError, SamplePlan, SpanError, rank_report, verify_identity_ae
 from .translation import fixed_label_count, verify_partition_of_unity
 from .worpitzky import classical_worpitzky_check, verify_categorified_worpitzky
 
@@ -346,14 +347,16 @@ def _add_sampling(sub) -> None:
         "--seed",
         type=int,
         default=0,
-        help="sampling seed (default 0); no effect on dims, which walks every point",
+        help="seed of the points that identity checks sample (default 0); no effect "
+        "on dims, expand or the relations suite, which walk the lattice of points",
     )
     sub.add_argument(
         "--denominator",
         type=int,
         default=None,
-        help="prime denominator for sample points (default: first prime > n; "
-        "unless it is given, dims moves on to larger primes while its rank is short)",
+        help="prime denominator of the oracle's points (default: first prime > n; "
+        "unless it is given, ranks and solves move on to larger primes while the "
+        "rank is short)",
     )
 
 
@@ -432,7 +435,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NotACharacterError as exc:  # a failed check, not a usage error
+    except (NotACharacterError, SpanError, GenericSamplingError) as exc:  # failures, not usage errors
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (PlateParseError, PermutationParseError, ValueError) as exc:

@@ -251,16 +251,20 @@ def enumerate_osp(n: int, k: int, one_first: bool = False) -> list[tuple[tuple[i
     sorted on that serialization (the canonical order used everywhere)."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    out = []
-    for assign in itertools.product(range(k), repeat=n):
-        if len(set(assign)) != k:
-            continue
-        if one_first and assign[0] != 0:
-            continue
-        blocks = tuple(
-            tuple(e for e in range(1, n + 1) if assign[e - 1] == b) for b in range(k)
-        )
-        out.append(blocks)
+
+    def build(head: tuple[int, ...], rest: tuple[int, ...], k: int):
+        # partitions of head + rest into k blocks, the first block holding head
+        # and leaving at least one element of rest for each later block
+        if k == 1:
+            yield (head + rest,)
+            return
+        for size in range(0 if head else 1, len(rest) - k + 2):
+            for chosen in itertools.combinations(rest, size):
+                left = tuple(e for e in rest if e not in chosen)
+                for tail in build((), left, k - 1):
+                    yield (head + chosen, *tail)
+
+    out = list(build((1,), tuple(range(2, n + 1)), k) if one_first else build((), tuple(range(1, n + 1)), k))
     out.sort()
     return out
 

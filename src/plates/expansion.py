@@ -245,8 +245,9 @@ def expand(p: Plate) -> PlateVector:
 
 
 def oracle_expand(p: Plate, plan=None) -> PlateVector:
-    """Expansion through the geometric engine (solve against the sampled
-    standard-basis evaluations); the slow, independent route."""
+    """Expansion through the geometric engine (solve against the
+    standard-basis evaluations on the generic-point lattice); the slow,
+    independent route."""
     from .oracle import SamplePlan, solve_in_basis
 
     if plan is None:

@@ -3,10 +3,10 @@
 Identities between plates hold almost everywhere, not on the shared walls of
 the closed regions, so every check here happens at *generic* rational points:
 points of the simplex slice where no proper subset of coordinates sums to an
-integer.  Ranks walk every generic point of a fixed prime denominator in a
-fixed order; solves and identity checks use a seeded sample of those points.
-So runs are reproducible and every rank and solve returned is exact over the
-rationals.
+integer.  Ranks and solves walk every generic point of a prime denominator in
+a fixed order, moving on to larger primes while the rank is short; identity
+checks use a seeded sample of those points.  So runs are reproducible and
+every rank and solve returned is exact over the rationals.
 
 Every point is a/D with integer numerators a summing to r*D, so a
 plate is evaluated there by integer comparisons against the subset-sums of a
@@ -51,12 +51,9 @@ def next_prime_above(n: int) -> int:
     return c
 
 
-# The seeded sampler's fixed sizes: points per growth step of a basis solver
-# (and its held-out batch), points checked by verify_identity_ae, the solver's
-# point cap per basis column, and candidates tried for each generic point.
-_BATCH = 16
-_CHECK_POINTS = 3 * _BATCH
-_MAX_POINTS_FACTOR = 50
+# The seeded sampler's fixed sizes: points checked by verify_identity_ae, and
+# candidates tried for each generic point.
+_CHECK_POINTS = 48
 _MAX_TRIES_PER_POINT = 100_000
 
 
@@ -274,62 +271,84 @@ def _unpack(row: int, width: int) -> list[int]:
     return [row >> j & 1 for j in range(width)]
 
 
-def rank_report(plates: Sequence[Plate], plan: SamplePlan) -> RankReport:
-    """Rank over Q of the plates' evaluation matrix at generic points a/D,
-    walking every generic lattice point of the plan's denominator in
-    lexicographic order (``_compositions``).  The seed plays no part.
+# A visited lattice point: numerators a, denominator D, _subset_sums(a), row
+Visit = tuple[tuple[int, ...], int, list[int], int]
 
-    Rows are 0/1, so each is packed into an int (bit j for plate j) and the
-    rank is first taken mod 2.  A rank mod a prime is a lower bound on the
-    rational rank, so full rank mod 2 is exact and the walk stops there.  At
-    the end of a lattice that leaves the rank mod 2 short, the distinct rows
-    are replayed in first-seen order modulo the large prime P, which stops at
-    the row that completes the rank, if any.  When the rank mod P is still
-    short and the plan's denominator is not pinned, the walk goes on to the
-    next prime's lattice, until the rank is full or a lattice adds no rank
-    mod P; each further lattice must raise the rank, so this ends.  A rank
-    short of full is then recomputed over Q from the distinct rows seen.
+
+def _walk(
+    plates: Sequence[Plate], plan: SamplePlan, keep_points: bool = False
+) -> tuple[RankReport, list[Visit], list[Visit]]:
+    """(report, fit, points) for the plates' rows at the generic points a/D,
+    walked in lexicographic order (``_compositions``); the seed plays no part.
+
+    Rows are 0/1 and packed into ints (bit j for plate j), and a rank mod a
+    prime is a lower bound on the rank over Q, so the walk stops as soon as
+    the rank mod 2 is full.  At the end of a lattice that leaves it short, the
+    distinct rows are replayed in first-seen order mod the large prime P, up
+    to the row that completes the rank.  If that falls short too and the
+    denominator is not pinned, the walk goes on to the next prime's lattice,
+    and it ends after a lattice that adds no rank mod P.  A short rank is then
+    recomputed over Q.  At full rank the ``fit`` points have rows independent
+    mod 2 or mod P, hence over Q.  With ``keep_points``, ``points`` is every
+    point of every lattice walked, the last one finished.
     """
-    plates = list(plates)
-    d = plan.resolved_denominator
-    if not plates:
-        return RankReport(0, 0, d)
     n, r = plates[0].n, plates[0].r
-    if any(p.n != n or p.r != r for p in plates):
-        raise ValueError("all plates must share n and r")
     width = len(plates)
     gf2: dict[int, int] = {}
     ech = Echelon(width, _P)
-    # points in one chamber give equal rows, and most rows repeat; each
-    # distinct row keeps the number of points visited when it was first seen
-    first_seen: dict[int, int] = {}
-    replayed = 0
-    used = 0
+    gf2_fit: list[Visit] = []
+    ech_fit: list[Visit] = []
+    points: list[Visit] = []
+    # most rows repeat: distinct row -> (points visited up to it, its point)
+    first_seen: dict[int, tuple[int, Visit]] = {}
+    used = replayed = 0
+    d = plan.resolved_denominator
     while True:
         lattice_plan = replace(plan, denominator=d)
         tests = [_flag_test(p, lattice_plan) for p in plates]
-        for a, sums in _compositions(n, r * d, d):
+        lattice = _compositions(n, r * d, d)
+        for a, sums in lattice:
             used += 1
             row = _row(tests, sums)
+            visit = (a, d, sums, row)
+            if keep_points:
+                points.append(visit)
             if row in first_seen:
                 continue
-            first_seen[row] = used
-            if _gf2_insert(gf2, row) and len(gf2) == width:
-                return RankReport(width, used, d)
+            first_seen[row] = (used, visit)
+            if _gf2_insert(gf2, row):
+                gf2_fit.append(visit)
+                if len(gf2) == width:
+                    if keep_points:
+                        points += [(a, d, sums, _row(tests, sums)) for a, sums in lattice]
+                    return RankReport(width, used, d), gf2_fit, points
         before = ech.rank
-        for row, seen_at in islice(first_seen.items(), replayed, None):
-            if ech.add_row(_unpack(row, width)) and ech.rank == width:
-                return RankReport(width, seen_at, d)
+        for row, (seen_at, visit) in islice(first_seen.items(), replayed, None):
+            if ech.add_row(_unpack(row, width)):
+                ech_fit.append(visit)
+                if ech.rank == width:
+                    return RankReport(width, seen_at, d), ech_fit, points
         replayed = len(first_seen)
         if plan.denominator is not None or ech.rank == before:
             break
         d = next_prime_above(d)
     # short of full rank: the rank mod P is only a lower bound
-    return RankReport(_exact_rank(width, first_seen), used, d)
+    exact = Echelon(width)
+    for row in first_seen:
+        exact.add_row(_unpack(row, width))
+    return RankReport(exact.rank, used, d), [], points
 
 
-def rank_of_span(plates: Sequence[Plate], plan: SamplePlan) -> int:
-    return rank_report(plates, plan).rank
+def rank_report(plates: Sequence[Plate], plan: SamplePlan) -> RankReport:
+    """Rank over Q of the plates' evaluation matrix at generic points a/D,
+    with the points visited and the last denominator (``_walk``)."""
+    plates = list(plates)
+    if not plates:
+        return RankReport(0, 0, plan.resolved_denominator)
+    n, r = plates[0].n, plates[0].r
+    if any(p.n != n or p.r != r for p in plates):
+        raise ValueError("all plates must share n and r")
+    return _walk(plates, plan)[0]
 
 
 # Ranks and solves run modulo this prime, and every answer is exact before it
@@ -345,14 +364,6 @@ def _common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """(L, [v * L]) for the least common denominator L of the values."""
     scale = lcm(*(v.denominator for v in values))
     return scale, [int(v * scale) for v in values]
-
-
-def _exact_rank(width: int, rows: Iterable[int]) -> int:
-    """Rank over Q of packed 0/1 rows, by Fraction elimination."""
-    exact = Echelon(width)
-    for row in rows:
-        exact.add_row(_unpack(row, width))
-    return exact.rank
 
 
 def _rational_reconstruct(c: int) -> Fraction | None:
@@ -371,47 +382,31 @@ def _rational_reconstruct(c: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
-# cached square solver per (basis, plan): points with independent basis rows
+# cached square solver per (basis, plan without its seed, which solves ignore)
 _solver_cache: dict = {}
 
 
 class _BasisSolver:
     def __init__(self, basis: tuple[Plate, ...], plan: SamplePlan) -> None:
         dim = len(basis)
-        n, r = basis[0].n, basis[0].r
-        cap = _MAX_POINTS_FACTOR * max(dim, r ** (n - 1))
-        tests = [_flag_test(p, plan) for p in basis]
-        ech = Echelon(dim, _P)
-        chosen: list[int] = []  # indices of points with independent basis rows
-        matrix: list[list[int]] = []
-        used = 0
-        while len(chosen) < dim:
-            if used >= cap:
-                raise SpanError(
-                    f"basis evaluation matrix reached rank {len(chosen)} < {dim} "
-                    f"within {used} points; the plate list is a.e. dependent"
-                )
-            take = min(_BATCH, cap - used)
-            for i, a in enumerate(_sample_numerators(plan, used + take)[used:], used):
-                row = _unpack(_row(tests, _subset_sums(a)), dim)
-                if ech.add_row(row):
-                    chosen.append(i)
-                    matrix.append(row)
-                    if len(chosen) == dim:
-                        break
-            used += take
-        self.plan = plan
-        self.matrix = matrix
-        self.mod_inverse = inverse(matrix, _P)
+        report, self.fit, points = _walk(basis, plan, keep_points=True)
+        if report.rank < dim:
+            raise SpanError(
+                f"basis evaluation matrix has rank {report.rank} < {dim} at the generic points "
+                f"up to denominator {report.denominator}: the plates are a.e. dependent, or "
+                "that denominator cannot reach all their chambers"
+            )
+        self.matrix = [_unpack(row, dim) for *_, row in self.fit]
+        self.mod_inverse = inverse(self.matrix, _P)
         self.exact_inverse = None  # over Q, built on the first fallback
-        # every sampled point participates in validation, plus a fresh batch;
-        # each keeps its subset-sum table (for targets) and basis support
-        self.fit_points = chosen
-        self.checks = []
-        for a in _sample_numerators(plan, used + _BATCH):
-            sums = _subset_sums(a)
-            row = _row(tests, sums)
-            self.checks.append((a, sums, [j for j in range(dim) if row >> j & 1]))
+        # points may come from two primes, so targets get one flag test per D
+        self.lattice_plans = [replace(plan, denominator=d) for d in sorted({v[1] for v in points})]
+        # every walked point validates each solution: the few points after the
+        # fit would not do, as in lexicographic order they lie near one corner
+        # of the simplex.  The combination's value depends only on the row.
+        self.checks: dict[int, list[Visit]] = {}
+        for visit in points:
+            self.checks.setdefault(visit[3], []).append(visit)
 
     def _solve_fast(self, rhs: list[int]) -> list[Fraction] | None:
         if self.mod_inverse is None:
@@ -434,35 +429,38 @@ class _BasisSolver:
         return coeffs
 
     def solve(self, target: Plate) -> list[Fraction]:
-        test = _flag_test(target, self.plan)
-        rhs = [_holds(test, self.checks[i][1]) for i in self.fit_points]
+        tests = {p.resolved_denominator: _flag_test(target, p) for p in self.lattice_plans}
+        rhs = [_holds(tests[d], sums) for _, d, sums, _ in self.fit]
         coeffs = self._solve_fast(rhs)
         if coeffs is None:
             if self.exact_inverse is None:
                 self.exact_inverse = inverse(self.matrix)
-                assert self.exact_inverse is not None, "chosen rows are independent by construction"
+                assert self.exact_inverse is not None, "fitted rows are independent by construction"
             coeffs = [
                 sum((a * b for a, b in zip(row, rhs) if b), Fraction(0))
                 for row in self.exact_inverse
             ]
         scale, scaled = _common_denominator(coeffs)
-        for a, sums, support in self.checks:
-            if sum(scaled[j] for j in support) != scale * _holds(test, sums):
-                x = _point(a, self.plan.resolved_denominator)
-                raise SpanError(
-                    f"target {target} not in almost-everywhere span: point "
-                    f"({', '.join(str(v) for v in x)}) disagrees"
-                )
+        terms = [(1 << j, c) for j, c in enumerate(scaled) if c]
+        for row, group in self.checks.items():
+            value = sum(c for bit, c in terms if row & bit)
+            for a, d, sums, _ in group:
+                if value != scale * _holds(tests[d], sums):
+                    raise SpanError(
+                        f"target {target} not in almost-everywhere span: point "
+                        f"({', '.join(str(v) for v in _point(a, d))}) disagrees"
+                    )
         return coeffs
 
 
 def solve_in_basis(target: Plate, basis: Sequence[Plate], plan: SamplePlan) -> list[Fraction]:
-    """Coefficients of the target over the basis, fitted at generic points and
-    validated at every sampled point including a fresh held-out batch."""
+    """Coefficients of the target over the basis, fitted at the lattice points
+    where ``_walk`` found independent basis rows, and validated at every
+    point of every lattice walked."""
     basis = tuple(basis)
     if any(p.n != target.n or p.r != target.r for p in basis):
         raise ValueError("target and basis must share n and r")
-    key = (basis, plan.key())
+    key = (basis, replace(plan, seed=0))
     solver = _solver_cache.get(key)
     if solver is None:
         solver = _BasisSolver(basis, plan)
@@ -485,7 +483,8 @@ def _combination_terms(side, plan: SamplePlan) -> list[tuple[object, FlagTest]]:
 
 def verify_identity_ae(lhs, rhs, plan: SamplePlan):
     """Check two formal plate combinations agree at the plan's first
-    ``_CHECK_POINTS`` sampled generic points.  Returns (ok, witness)."""
+    ``_CHECK_POINTS`` sampled generic points.  Returns (ok, witness).  (Not on
+    the lattice walk: a rank certificate would need the slice's whole basis.)"""
     lterms = _combination_terms(lhs, plan)
     rterms = _combination_terms(rhs, plan)
     for a in _sample_numerators(plan, _CHECK_POINTS):

@@ -162,10 +162,6 @@ def generator(n: int, r: int, i: int) -> TranslationElement:
     return normalize_word(n, r, [(i, 1)])
 
 
-def ta_multiply(a: TranslationElement, b: TranslationElement) -> TranslationElement:
-    return a * b
-
-
 def ta_act(sigma: Permutation, elt: TranslationElement) -> TranslationElement:
     """Permute generators e_i -> e_{sigma(i)} and renormalize."""
     if sigma.n != elt.n:

@@ -38,7 +38,7 @@ from plates.expansion import (
     qplate_expand,
 )
 from matrix_helpers import invert, mat_mul
-from plates.oracle import SamplePlan, rank_of_span, verify_identity_ae
+from plates.oracle import SamplePlan, rank_report, verify_identity_ae
 from plates.translation import (
     diophantine_count,
     fixed_label_count,
@@ -82,7 +82,7 @@ def test_criterion_03_oracle_rank():
         for n in range(1, 5):
             for r in range(1, 5):
                 plan = SamplePlan(n, r)
-                assert rank_of_span(standard_basis(n, r), plan) == r ** (n - 1), (n, r)
+                assert rank_report(standard_basis(n, r), plan).rank == r ** (n - 1), (n, r)
 
 
 def test_criterion_04_dual_engine_agreement():

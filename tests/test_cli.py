@@ -164,3 +164,41 @@ def test_non_character_exits_1(capsys, monkeypatch):
     code = main(["multiplicities", "--n", "2", "--r", "2", "--json"])
     assert code == 1
     assert "not a character" in capsys.readouterr().err
+
+
+def test_expand_at_n6_r2_walks_on_to_the_next_prime(capsys):
+    # the default D = 7 lattice reaches only rank 12 of 32; the solve moves
+    # on to D = 11 as dims does, instead of failing
+    code, payload = run_json(
+        capsys, "expand", "--plate", "[[{2}_1 {1,3,4,5,6}_1]]", "--method", "both"
+    )
+    assert code == 0
+    assert payload["engines_agree"] is True
+
+
+def test_verify_relations_at_n6_r2(capsys):
+    code, payload = run_json(capsys, "verify", "--suite", "relations", "--n", "6", "--r", "2")
+    assert code == 0
+    assert payload["ok"] is True and len(payload["checks"]) == 63
+
+
+@pytest.mark.parametrize("error", ["SpanError", "GenericSamplingError"])
+def test_oracle_failures_exit_1(capsys, monkeypatch, error):
+    import plates.cli
+    from plates import oracle
+
+    def fail(*args):
+        raise getattr(oracle, error)("the oracle could not fit")
+
+    monkeypatch.setattr(plates.cli, "oracle_expand", fail)
+    code = main(["expand", "--plate", "[[{2}_1 {1}_1]]", "--method", "oracle", "--json"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the oracle could not fit\n"
+
+
+def test_pinned_denominator_too_small_for_a_solve_exits_1(capsys):
+    code = main(["expand", "--plate", "[[{2}_1 {1,3,4,5,6}_1]]", "--method", "oracle", "--denominator", "7"])
+    assert code == 1
+    assert "rank 12 < 32" in capsys.readouterr().err

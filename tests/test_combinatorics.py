@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -116,6 +117,22 @@ def test_ordered_set_partitions():
 def test_osp_counts_against_ordered_bell():
     for n in range(1, 7):
         assert sum(len(enumerate_osp(n, k)) for k in range(1, n + 1)) == ordered_bell(n)
+
+
+def _filtered_osp(n, k, one_first):
+    """Every assignment of 1..n to k blocks, keeping the surjective ones."""
+    out = []
+    for assign in itertools.product(range(k), repeat=n):
+        if len(set(assign)) == k and not (one_first and assign[0] != 0):
+            out.append(tuple(tuple(e for e in range(1, n + 1) if assign[e - 1] == b) for b in range(k)))
+    return sorted(out)
+
+
+def test_osp_equals_the_filtered_construction():
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            for one_first in (False, True):
+                assert enumerate_osp(n, k, one_first) == _filtered_osp(n, k, one_first), (n, k, one_first)
 
 
 def test_osp_rotation_classes_have_unique_standard_member():

@@ -5,12 +5,12 @@ import pytest
 
 from plates import oracle
 from plates.core import Plate, all_plates, evaluate, parse_plate, rotate, standard_basis
+from plates.expansion import expand, oracle_expand
 from plates.linalg import Echelon
 from plates.oracle import (
     SamplePlan,
     SpanError,
     next_prime_above,
-    rank_of_span,
     rank_report,
     sample_generic,
     solve_in_basis,
@@ -69,10 +69,10 @@ def test_sampling_is_deterministic_with_prefix_property():
 
 
 def test_rank_examples():
-    assert rank_of_span(standard_basis(2, 2), SamplePlan(2, 2)) == 2
-    assert rank_of_span(standard_basis(3, 3), SamplePlan(3, 3)) == 9
+    assert rank_report(standard_basis(2, 2), SamplePlan(2, 2)).rank == 2
+    assert rank_report(standard_basis(3, 3), SamplePlan(3, 3)).rank == 9
     p = parse_plate("[[{1}_1 {2}_1]]")
-    assert rank_of_span([p, p], SamplePlan(2, 2)) == 1
+    assert rank_report([p, p], SamplePlan(2, 2)).rank == 1
     report = rank_report(standard_basis(3, 2), SamplePlan(3, 2))
     assert report.denominator == 5 and report.rank == 4 and report.points_used > 0
 
@@ -104,11 +104,11 @@ def test_rank_is_exact_under_a_tiny_modulus(monkeypatch, prime):
             super().__init__(width, modulus)
 
     monkeypatch.setattr(oracle, "Echelon", CountingEchelon)
-    assert rank_of_span(standard_basis(3, 3), SamplePlan(3, 3)) == 9
+    assert rank_report(standard_basis(3, 3), SamplePlan(3, 3)).rank == 9
     p = parse_plate("[[{1}_1 {2}_1]]")
-    assert rank_of_span([p, p], SamplePlan(2, 2)) == 1
-    assert rank_of_span(list(all_plates(3, 2)), SamplePlan(3, 2)) == 4
-    assert rank_of_span(list(all_plates(4, 2)), SamplePlan(4, 2)) == 8
+    assert rank_report([p, p], SamplePlan(2, 2)).rank == 1
+    assert rank_report(list(all_plates(3, 2)), SamplePlan(3, 2)).rank == 4
+    assert rank_report(list(all_plates(4, 2)), SamplePlan(4, 2)).rank == 8
     if prime == 2:
         assert fallbacks  # the GF(2) rank of all plates is short over Q
 
@@ -117,11 +117,11 @@ def test_rank_is_exact_when_gf2_accepts_no_row(monkeypatch):
     # with no rank mod 2, every rank must come from the mod-P replay at the
     # end of each lattice, and a short one from the Fraction fallback
     monkeypatch.setattr(oracle, "_gf2_insert", lambda pivots, row: False)
-    assert rank_of_span(standard_basis(3, 3), SamplePlan(3, 3)) == 9
+    assert rank_report(standard_basis(3, 3), SamplePlan(3, 3)).rank == 9
     p = parse_plate("[[{1}_1 {2}_1]]")
-    assert rank_of_span([p, p], SamplePlan(2, 2)) == 1
-    assert rank_of_span(list(all_plates(3, 2)), SamplePlan(3, 2)) == 4
-    assert rank_of_span(list(all_plates(4, 2)), SamplePlan(4, 2)) == 8
+    assert rank_report([p, p], SamplePlan(2, 2)).rank == 1
+    assert rank_report(list(all_plates(3, 2)), SamplePlan(3, 2)).rank == 4
+    assert rank_report(list(all_plates(4, 2)), SamplePlan(4, 2)).rank == 8
     # the replay stops at the row that completes the rank
     for n, r, d, expected in ((4, 3, None, (27, 73, 5)), (6, 2, None, (32, 1244, 11)), (6, 2, 7, (12, 42, 7))):
         report = rank_report(standard_basis(n, r), SamplePlan(n, r, denominator=d))
@@ -222,7 +222,7 @@ def test_lattice_is_every_generic_composition_in_order(d):
 def test_rank_matches_dimension():
     for n in range(1, 5):
         for r in range(1, 5):
-            assert rank_of_span(standard_basis(n, r), SamplePlan(n, r)) == r ** (n - 1)
+            assert rank_report(standard_basis(n, r), SamplePlan(n, r)).rank == r ** (n - 1)
 
 
 def test_solve_examples():
@@ -245,6 +245,32 @@ def test_solve_is_repeatable_and_sound():
         combo = [(c, b) for c, b in zip(coeffs, basis) if c]
         ok, witness = verify_identity_ae(target, combo, plan)
         assert ok, witness
+
+
+def test_oracle_expansion_at_n6_r2_reaches_the_next_prime():
+    # the D = 7 lattice reaches rank 12 of 32; the solver walks on to D = 11
+    # the way rank_report does, so every plate expands under the default plan
+    for p in all_plates(6, 2):
+        assert oracle_expand(p) == expand(p), str(p)
+
+
+def test_solves_share_one_solver_across_seeds(monkeypatch):
+    monkeypatch.setattr(oracle, "_solver_cache", {})
+    basis = standard_basis(3, 3)
+    targets = list(all_plates(3, 3))
+    first = [solve_in_basis(t, basis, SamplePlan(3, 3, seed=0)) for t in targets]
+    for seed in range(1, 4):
+        assert [solve_in_basis(t, basis, SamplePlan(3, 3, seed=seed)) for t in targets] == first
+    assert len(oracle._solver_cache) == 1
+
+
+def test_solve_rejects_a_basis_short_of_full_rank():
+    p = parse_plate("[[{1}_1 {2}_1]]")
+    with pytest.raises(SpanError, match="rank 1 < 2"):
+        solve_in_basis(p, [p, p], SamplePlan(2, 2))
+    # a pinned denominator whose lattice cannot reach every chamber
+    with pytest.raises(SpanError, match="rank 12 < 32"):
+        oracle_expand(parse_plate("[[{2}_1 {1,3,4,5,6}_1]]"), SamplePlan(6, 2, denominator=7))
 
 
 def test_solve_detects_targets_outside_span():
