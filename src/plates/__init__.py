@@ -34,7 +34,6 @@ from .core import (
 from .exactnum import (
     CyclotomicNumber,
     OrderMismatchError,
-    Rational,
     cyclotomic_polynomial,
     euler_phi,
     q_pow,
@@ -109,17 +108,16 @@ _LRU_CACHES = (
     _exactnum._power_table,
     _exactnum._zeros,
     _characters._mn_value,
+    _oracle._check_points,
+    _oracle._solver,
     expand,
 )
-_PLAN_CACHES = (_oracle._point_cache, _oracle._solver_cache)
 
 
 def clear_caches() -> None:
     """Empty every module-level cache: expansions, standard bases, partitions,
     Eulerian numbers, cyclotomic tables, Murnaghan-Nakayama values, and the
-    oracle's sampled points and basis solvers.  Results are unchanged; only
+    oracle's check points and basis solvers.  Results are unchanged; only
     the memory and the work of rebuilding them move."""
     for cache in _LRU_CACHES:
         cache.cache_clear()
-    for cache in _PLAN_CACHES:
-        cache.clear()

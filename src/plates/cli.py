@@ -205,7 +205,7 @@ def cmd_dims(args) -> int:
 
 def cmd_qbasis(args) -> int:
     rows, basis = qbasis_matrix(args.n, args.r)
-    invertible = qbasis_is_invertible(args.n, args.r)
+    invertible = qbasis_is_invertible(rows)
     payload = {
         "command": "qbasis",
         "n": args.n,

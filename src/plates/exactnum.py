@@ -6,8 +6,9 @@ modulo the r-th cyclotomic polynomial, so every element has a unique
 coefficient vector of length phi(r) and equality is structural.  That vector
 is stored as integer numerators over one positive common denominator in
 lowest terms; the cyclotomic polynomial is monic with integer coefficients,
-so sums and products stay in integers until a coefficient is read.  No
-floating point is used anywhere.
+so sums and products stay in integers until a coefficient is read.
+Inverses run in integers too, through the field norm.  No floating point is
+used anywhere.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 
 class OrderMismatchError(ValueError):
     """Arithmetic between cyclotomic numbers of different orders."""
@@ -26,12 +25,6 @@ class OrderMismatchError(ValueError):
 
 # ---------------------------------------------------------------------------
 # integer polynomial helpers (dense, lowest degree first)
-
-
-def _trim(coeffs: list) -> list:
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list:
@@ -235,19 +228,28 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse via the field norm.
+
+        Write self = p(zeta) / den for the integer polynomial p of the
+        numerators, and let y be the product of its conjugates p(zeta^k),
+        1 < k < r with gcd(k, r) = 1.  Then p(zeta) * y is the norm of
+        p(zeta), a nonzero integer N, so 1 / self = y * den / N.
+        """
         if not self:
             raise ZeroDivisionError("division by zero")
-        modulus = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = modulus, _trim(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
-        while len(r1) > 1:
-            q, rem = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _frac_poly_sub(s0, _frac_poly_mul(q, s1))
-        assert r1, "cyclotomic polynomial is irreducible; gcd must be a unit"
-        inv_lead = 1 / r1[0]
-        return CyclotomicNumber(self.order, [c * inv_lead for c in s1])
+        r = self.order
+        y = CyclotomicNumber.one(r)
+        for k in range(2, r):
+            if gcd(k, r) == 1:
+                poly = [0] * r
+                for i, c in enumerate(self.numerators):
+                    poly[i * k % r] += c
+                y = y * CyclotomicNumber.from_integer_poly(r, poly)
+        norm = _build(r, self.numerators, 1) * y
+        assert norm.is_rational(), "the norm of a cyclotomic integer is an integer"
+        n = norm.numerators[0]
+        scale = self.denominator if n > 0 else -self.denominator
+        return CyclotomicNumber.from_integer_poly(r, [c * scale for c in y.numerators], abs(n))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -356,42 +358,6 @@ def _lowest_terms(numerators: list[int], denominator: int) -> tuple[tuple[int, .
 @lru_cache(maxsize=256)
 def _zeros(order: int) -> tuple[int, ...]:
     return (0,) * euler_phi(order)
-
-
-# fraction-polynomial helpers for the inverse
-
-
-def _frac_poly_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _trim(out)
-
-
-def _frac_poly_sub(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return _trim([x - y for x, y in zip(a, b)])
-
-
-def _frac_poly_divmod(num: list, den: list) -> tuple[list, list]:
-    num = list(num)
-    if len(num) < len(den):
-        return [], _trim(num)
-    q = [Fraction(0)] * (len(num) - len(den) + 1)
-    inv_lead = 1 / den[-1]
-    for d in range(len(num) - len(den), -1, -1):
-        c = num[d + len(den) - 1] * inv_lead
-        q[d] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[d + j] -= c * dj
-    return _trim(q), _trim(num)
 
 
 def zeta_pow(r: int, k: int) -> CyclotomicNumber:

@@ -304,8 +304,8 @@ def qbasis_matrix(n: int, r: int) -> tuple[list[list[CyclotomicNumber]], list[Pl
     return rows, basis
 
 
-def qbasis_is_invertible(n: int, r: int) -> bool:
-    rows, basis = qbasis_matrix(n, r)
-    ech = Echelon(len(basis))
+def qbasis_is_invertible(rows: list[list[CyclotomicNumber]]) -> bool:
+    """Whether the square matrix ``rows`` (as from ``qbasis_matrix``) is invertible."""
+    ech = Echelon(len(rows))
     # square: invertible exactly when every row enlarges the span
     return all(ech.add_row(row) for row in rows)

@@ -20,6 +20,7 @@ import hashlib
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Sequence
@@ -76,9 +77,6 @@ class SamplePlan:
     @property
     def resolved_denominator(self) -> int:
         return self.denominator if self.denominator is not None else next_prime_above(self.n)
-
-    def key(self) -> tuple:
-        return (self.n, self.r, self.seed, self.resolved_denominator)
 
 
 def _subset_sums(numerators: Sequence[int]) -> list[int]:
@@ -145,29 +143,13 @@ def _seed_int(plan: SamplePlan) -> int:
     return int.from_bytes(hashlib.sha256(tag.encode()).digest()[:8], "big")
 
 
-# Per-plan caches hold at most this many plans; the oldest plan is evicted.
-_PLAN_CACHE_SIZE = 16
-
-# one RNG stream and numerator list per plan, so repeated requests are prefixes
-_point_cache: dict = {}
-
-
-def _remember(cache: dict, key, value) -> None:
-    if len(cache) >= _PLAN_CACHE_SIZE:
-        del cache[next(iter(cache))]  # dicts keep insertion order
-    cache[key] = value
-
-
 def _sample_numerators(plan: SamplePlan, count: int) -> list[tuple[int, ...]]:
-    """Numerators a of the plan's first ``count`` generic points a/D."""
+    """Numerators a of the plan's first ``count`` generic points a/D, drawn
+    from a fresh RNG seeded by the plan, so shorter requests are prefixes."""
     d = plan.resolved_denominator
     total = plan.r * d
-    key = plan.key()
-    entry = _point_cache.get(key)
-    if entry is None:
-        entry = (random.Random(_seed_int(plan)), [])
-        _remember(_point_cache, key, entry)
-    rng, numerators = entry
+    rng = random.Random(_seed_int(plan))
+    numerators = []
     while len(numerators) < count:
         for _ in range(_MAX_TRIES_PER_POINT):
             cuts = sorted(rng.randint(0, total) for _ in range(plan.n - 1))
@@ -181,7 +163,7 @@ def _sample_numerators(plan: SamplePlan, count: int) -> list[tuple[int, ...]]:
                 f"n={plan.n}, r={plan.r}, denominator={d}; use a larger denominator"
             )
         numerators.append(nums)
-    return numerators[:count]
+    return numerators
 
 
 def _point(numerators: Sequence[int], d: int) -> Point:
@@ -355,8 +337,8 @@ def rank_report(plates: Sequence[Plate], plan: SamplePlan) -> RankReport:
 # is returned.  A rank mod P is a lower bound on the rational rank, so only a
 # full rank is returned from it; a short one is recomputed by Fraction
 # elimination.  A nonzero determinant mod P proves exact invertibility, and
-# reconstructed solve coefficients are returned only after an exact check,
-# with a Fraction inverse when that fails.
+# reconstructed solve coefficients are returned only after they agree at every
+# walked point, with a Fraction inverse when they do not.
 _P = (1 << 61) - 1  # Mersenne prime
 
 
@@ -380,10 +362,6 @@ def _rational_reconstruct(c: int) -> Fraction | None:
     if gcd(abs(r1), abs(s1)) != 1:
         return None
     return Fraction(r1, s1)
-
-
-# cached square solver per (basis, plan without its seed, which solves ignore)
-_solver_cache: dict = {}
 
 
 class _BasisSolver:
@@ -421,36 +399,46 @@ class _BasisSolver:
             if rec is None:
                 return None
             coeffs.append(rec)
-        # exact certification on the fitted system
-        scale, scaled = _common_denominator(coeffs)
-        for row, want in zip(self.matrix, rhs):
-            if sum(s for s, a in zip(scaled, row) if a) != scale * want:
-                return None
         return coeffs
 
-    def solve(self, target: Plate) -> list[Fraction]:
-        tests = {p.resolved_denominator: _flag_test(target, p) for p in self.lattice_plans}
-        rhs = [_holds(tests[d], sums) for _, d, sums, _ in self.fit]
-        coeffs = self._solve_fast(rhs)
-        if coeffs is None:
-            if self.exact_inverse is None:
-                self.exact_inverse = inverse(self.matrix)
-                assert self.exact_inverse is not None, "fitted rows are independent by construction"
-            coeffs = [
-                sum((a * b for a, b in zip(row, rhs) if b), Fraction(0))
-                for row in self.exact_inverse
-            ]
+    def _disagreement(self, coeffs: list[Fraction], tests: dict[int, FlagTest]) -> Visit | None:
+        """The first walked point where the combination differs from the target."""
         scale, scaled = _common_denominator(coeffs)
         terms = [(1 << j, c) for j, c in enumerate(scaled) if c]
         for row, group in self.checks.items():
             value = sum(c for bit, c in terms if row & bit)
-            for a, d, sums, _ in group:
-                if value != scale * _holds(tests[d], sums):
-                    raise SpanError(
-                        f"target {target} not in almost-everywhere span: point "
-                        f"({', '.join(str(v) for v in _point(a, d))}) disagrees"
-                    )
+            for visit in group:
+                if value != scale * _holds(tests[visit[1]], visit[2]):
+                    return visit
+        return None
+
+    def solve(self, target: Plate) -> list[Fraction]:
+        """The fit points are among the walked points, so coefficients that
+        agree at every walked point solve the invertible fitted system, and
+        are its unique solution."""
+        tests = {p.resolved_denominator: _flag_test(target, p) for p in self.lattice_plans}
+        rhs = [_holds(tests[d], sums) for _, d, sums, _ in self.fit]
+        coeffs = self._solve_fast(rhs)
+        if coeffs is not None and self._disagreement(coeffs, tests) is None:
+            return coeffs
+        if self.exact_inverse is None:
+            self.exact_inverse = inverse(self.matrix)
+            assert self.exact_inverse is not None, "fitted rows are independent by construction"
+        coeffs = [
+            sum((a * b for a, b in zip(row, rhs) if b), Fraction(0)) for row in self.exact_inverse
+        ]
+        witness = self._disagreement(coeffs, tests)
+        if witness is not None:
+            a, d, *_ = witness
+            raise SpanError(
+                f"target {target} not in almost-everywhere span: point "
+                f"({', '.join(str(v) for v in _point(a, d))}) disagrees"
+            )
         return coeffs
+
+
+# one cached square solver per (basis, plan without its seed, which solves ignore)
+_solver = lru_cache(maxsize=16)(_BasisSolver)
 
 
 def solve_in_basis(target: Plate, basis: Sequence[Plate], plan: SamplePlan) -> list[Fraction]:
@@ -458,14 +446,11 @@ def solve_in_basis(target: Plate, basis: Sequence[Plate], plan: SamplePlan) -> l
     where ``_walk`` found independent basis rows, and validated at every
     point of every lattice walked."""
     basis = tuple(basis)
+    if not basis:
+        raise ValueError("basis must not be empty")
     if any(p.n != target.n or p.r != target.r for p in basis):
         raise ValueError("target and basis must share n and r")
-    key = (basis, replace(plan, seed=0))
-    solver = _solver_cache.get(key)
-    if solver is None:
-        solver = _BasisSolver(basis, plan)
-        _remember(_solver_cache, key, solver)
-    return solver.solve(target)
+    return _solver(basis, replace(plan, seed=0)).solve(target)
 
 
 def _combination_terms(side, plan: SamplePlan) -> list[tuple[object, FlagTest]]:
@@ -487,11 +472,16 @@ def verify_identity_ae(lhs, rhs, plan: SamplePlan):
     the lattice walk: a rank certificate would need the slice's whole basis.)"""
     lterms = _combination_terms(lhs, plan)
     rterms = _combination_terms(rhs, plan)
-    for a in _sample_numerators(plan, _CHECK_POINTS):
-        sums = _subset_sums(a)
+    for a, sums in _check_points(plan):
         if _eval_combination(lterms, sums) != _eval_combination(rterms, sums):
             return False, _point(a, plan.resolved_denominator)
     return True, None
+
+
+@lru_cache(maxsize=16)
+def _check_points(plan: SamplePlan) -> tuple[tuple[tuple[int, ...], list[int]], ...]:
+    """(a, _subset_sums(a)) for the plan's first ``_CHECK_POINTS`` sampled points."""
+    return tuple((a, _subset_sums(a)) for a in _sample_numerators(plan, _CHECK_POINTS))
 
 
 def _eval_combination(terms: Iterable[tuple[object, FlagTest]], sums: list[int]):

@@ -212,7 +212,7 @@ def test_criterion_12_qbasis():
     with budget(12, 60, "q-basis invertibility, covariance, trace invariance"):
         for n in range(1, 5):
             for r in range(1, 4):
-                assert qbasis_is_invertible(n, r), (n, r)
+                assert qbasis_is_invertible(qbasis_matrix(n, r)[0]), (n, r)
         # rotation covariance on randomized plates
         rng = random.Random(99)
         for _ in range(25):

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import plates
 from plates import oracle
@@ -46,11 +47,11 @@ def test_every_cache_is_bounded():
 
 def test_clear_caches_empties_every_cache_and_keeps_results():
     before = results()
-    assert all(oracle._point_cache.values()) and oracle._solver_cache
+    assert oracle._check_points.cache_info().currsize and oracle._solver.cache_info().currsize
     plates.clear_caches()
     left = {name: c.cache_info().currsize for name, c in lru_caches().items()}
     assert set(left.values()) == {0}, left
-    assert oracle._point_cache == {} and oracle._solver_cache == {}
+    assert "plates.oracle._check_points" in left and "plates.oracle._solver" in left
     assert results() == before
 
 
@@ -61,9 +62,15 @@ def _primes_above(n, count):
     return primes
 
 
+def _stats(cache):
+    info = cache.cache_info()
+    return info.hits, info.misses, info.currsize
+
+
 def test_plan_caches_evict_the_oldest_plan():
+    # both oracle caches are LRU: the plan evicted is the least recently used
     plates.clear_caches()
-    size = oracle._PLAN_CACHE_SIZE
+    size = oracle._solver.cache_info().maxsize
     # solvers are keyed by the plan without its seed, so they are told apart
     # by a pinned denominator
     target = parse_plate("[[{2}_1 {1}_1]]")
@@ -71,17 +78,22 @@ def test_plan_caches_evict_the_oldest_plan():
     first = oracle_expand(target, plans[0])
     for plan in plans[1:]:
         assert oracle_expand(target, plan) == first
-    assert len(oracle._solver_cache) == size
-    keys = [key for _, key in oracle._solver_cache]
-    assert plans[0] not in keys and plans[-1] in keys
-    assert oracle_expand(target, plans[0]) == first
-    # sampled points are keyed by the whole plan, seed included
+    assert _stats(oracle._solver) == (0, size + 3, size)
+    assert oracle_expand(target, replace(plans[3], seed=5)) == first  # now most recent
+    assert _stats(oracle._solver) == (1, size + 3, size)
+    assert oracle_expand(target, plans[0]) == first  # evicts plans[4], not plans[3]
+    assert oracle_expand(target, plans[3]) == first
+    assert _stats(oracle._solver) == (2, size + 4, size)
+    assert oracle_expand(target, plans[4]) == first
+    assert _stats(oracle._solver) == (2, size + 5, size)
+    # check points are keyed by the whole plan, seed included
     lhs = parse_plate("[[{1,2}_2]]")
     cells = [(1, parse_plate("[[{1}_1 {2}_1]]")), (1, parse_plate("[[{2}_1 {1}_1]]"))]
     seeded = [SamplePlan(2, 2, seed=seed) for seed in range(size + 3)]
     for plan in seeded:
         assert verify_identity_ae(lhs, cells, plan) == (True, None)
-    assert len(oracle._point_cache) == size
-    assert seeded[0].key() not in oracle._point_cache
-    assert seeded[-1].key() in oracle._point_cache
+    assert _stats(oracle._check_points) == (0, size + 3, size)
+    assert verify_identity_ae(lhs, cells, seeded[-1]) == (True, None)
+    assert _stats(oracle._check_points) == (1, size + 3, size)
     assert verify_identity_ae(lhs, cells, seeded[0]) == (True, None)
+    assert _stats(oracle._check_points) == (1, size + 4, size)

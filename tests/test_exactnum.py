@@ -136,7 +136,7 @@ def test_text_and_json_forms():
 # ---------------------------------------------------------------------------
 # properties of the integer representation, against a Fraction-vector reference
 
-ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 12)
+ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 18, 20, 30)
 
 
 def given(*strategies):

@@ -258,4 +258,4 @@ def test_qbasis_matrix_small():
 def test_qbasis_invertibility():
     for n in range(1, 4):
         for r in range(1, 4):
-            assert qbasis_is_invertible(n, r), (n, r)
+            assert qbasis_is_invertible(qbasis_matrix(n, r)[0]), (n, r)

@@ -100,7 +100,7 @@ def test_every_basis_solve_takes_the_modular_path(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(oracle._BasisSolver, "_solve_fast", recording)
-    monkeypatch.setattr(oracle, "_solver_cache", {})
+    oracle._solver.cache_clear()
     basis = standard_basis(3, 3)
     plan = SamplePlan(3, 3)
     targets = list(all_plates(3, 3))
@@ -126,7 +126,7 @@ def test_exact_fallback_gives_the_same_coefficients(monkeypatch):
     basis = standard_basis(3, 3)
     plan = SamplePlan(3, 3)
     targets = list(all_plates(3, 3))
-    monkeypatch.setattr(oracle, "_solver_cache", {})
+    oracle._solver.cache_clear()
     fast = [solve_in_basis(t, basis, plan) for t in targets]
     exact_inverses = []
 
@@ -137,6 +137,29 @@ def test_exact_fallback_gives_the_same_coefficients(monkeypatch):
 
     monkeypatch.setattr(oracle._BasisSolver, "_solve_fast", lambda self, rhs: None)
     monkeypatch.setattr(oracle, "inverse", counting_inverse)
-    monkeypatch.setattr(oracle, "_solver_cache", {})
+    oracle._solver.cache_clear()
     assert [solve_in_basis(t, basis, plan) for t in targets] == fast
     assert len(exact_inverses) == 1  # built once, by the one cached solver
+
+
+def test_a_wrong_modular_solution_falls_back_to_the_exact_one(monkeypatch):
+    # the walk-wide check is the only certificate of the modular path: fast
+    # coefficients off in one entry must be caught and replaced
+    basis = standard_basis(3, 3)
+    plan = SamplePlan(3, 3)
+    targets = list(all_plates(3, 3))
+    oracle._solver.cache_clear()
+    exact = [solve_in_basis(t, basis, plan) for t in targets]
+    fast = oracle._BasisSolver._solve_fast
+    perturbed = []
+
+    def off_by_one_entry(self, rhs):
+        coeffs = fast(self, rhs)
+        coeffs[len(perturbed) % len(coeffs)] += Fraction(1, 3)
+        perturbed.append(coeffs)
+        return coeffs
+
+    monkeypatch.setattr(oracle._BasisSolver, "_solve_fast", off_by_one_entry)
+    oracle._solver.cache_clear()
+    assert [solve_in_basis(t, basis, plan) for t in targets] == exact
+    assert len(perturbed) == len(targets)

@@ -255,13 +255,13 @@ def test_oracle_expansion_at_n6_r2_reaches_the_next_prime():
 
 
 def test_solves_share_one_solver_across_seeds(monkeypatch):
-    monkeypatch.setattr(oracle, "_solver_cache", {})
+    oracle._solver.cache_clear()
     basis = standard_basis(3, 3)
     targets = list(all_plates(3, 3))
     first = [solve_in_basis(t, basis, SamplePlan(3, 3, seed=0)) for t in targets]
     for seed in range(1, 4):
         assert [solve_in_basis(t, basis, SamplePlan(3, 3, seed=seed)) for t in targets] == first
-    assert len(oracle._solver_cache) == 1
+    assert oracle._solver.cache_info().currsize == 1
 
 
 def test_solve_rejects_a_basis_short_of_full_rank():
@@ -284,6 +284,8 @@ def test_solve_detects_targets_outside_span():
 def test_solve_rejects_mismatched_slice():
     with pytest.raises(ValueError):
         solve_in_basis(parse_plate("[[{1}_1 {2}_1]]"), standard_basis(2, 3), SamplePlan(2, 3))
+    with pytest.raises(ValueError, match="empty"):
+        solve_in_basis(parse_plate("[[{1}_1 {2}_1]]"), [], SamplePlan(2, 2))
 
 
 def test_coefficients_fitted_on_half_predict_other_half():
