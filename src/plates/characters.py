@@ -164,6 +164,8 @@ ENGINES = {
 
 def character(engine: str, n: int, r: int) -> ClassFunction:
     """The plate module's character on S_n for slice r, by the named engine."""
+    if n < 1 or r < 1:
+        raise ValueError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
     value = ENGINES[engine]
     return ClassFunction.from_dict(n, {lam: value(lam, r) for lam in partitions(n)})
 

@@ -92,9 +92,11 @@ def cmd_expand(args) -> int:
     if method in ("oracle", "both"):
         plan = _plan(args, plate.n, plate.r)
         if is_q:
-            orc = PlateVector(plate.n, plate.r)
-            for coeff, rotated in qplate(plate).expansion:
-                orc = orc + oracle_expand(rotated, plan).scale(coeff)
+            rotations = qplate(plate).expansion
+            images = ((coeff, oracle_expand(rotated, plan)) for coeff, rotated in rotations)
+            orc = PlateVector(
+                plate.n, plate.r, ((b, a * c) for a, v in images for b, c in v.items())
+            )
         else:
             orc = oracle_expand(plate, plan)
     result = sym if sym is not None else orc
@@ -163,7 +165,7 @@ def cmd_multiplicities(args) -> int:
     lines = [f"irreducible multiplicities, n={args.n}, r={args.r}"]
     lines += [f"  {_partition_key(mu):>12}  {m}" for mu, m in table.items()]
     _emit(args, payload, lines)
-    return 0
+    return 0 if payload["dimension_audit"] else 1
 
 
 def cmd_eulerian(args) -> int:

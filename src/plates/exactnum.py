@@ -9,6 +9,9 @@ lowest terms; the cyclotomic polynomial is monic with integer coefficients,
 so sums and products stay in integers until a coefficient is read.
 Inverses run in integers too, through the field norm.  No floating point is
 used anywhere.
+
+``Combination`` is the sparse vector type over these fields that plate
+vectors and translation-algebra elements share.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 class OrderMismatchError(ValueError):
@@ -169,19 +172,6 @@ class CyclotomicNumber:
             raise ValueError(f"order must be >= 1, got {order}")
         return _build(order, *_lowest_terms(_fold(order, poly), denominator))
 
-    # -- coercion ----------------------------------------------------------
-
-    def _coerce(self, other) -> "CyclotomicNumber":
-        if isinstance(other, CyclotomicNumber):
-            if other.order != self.order:
-                raise OrderMismatchError(
-                    f"order mismatch: {self.order} vs {other.order}"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CyclotomicNumber.from_rational(self.order, other)
-        raise TypeError(f"cannot combine CyclotomicNumber with {type(other).__name__}")
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficient vector, as reduced fractions."""
@@ -191,7 +181,7 @@ class CyclotomicNumber:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _coerce(self.order, other)
         d1, d2 = self.denominator, o.denominator
         if d1 == d2:
             nums = [a + b for a, b in zip(self.numerators, o.numerators)]
@@ -207,13 +197,13 @@ class CyclotomicNumber:
         return _build(self.order, tuple(-a for a in self.numerators), self.denominator)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-_coerce(self.order, other))
 
     def __rsub__(self, other):
-        return (-self) + self._coerce(other)
+        return (-self) + _coerce(self.order, other)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _coerce(self.order, other)
         a, b = self.numerators, o.numerators
         conv = [0] * (2 * len(a) - 1)
         for i, ai in enumerate(a):
@@ -252,11 +242,11 @@ class CyclotomicNumber:
         return CyclotomicNumber.from_integer_poly(r, [c * scale for c in y.numerators], abs(n))
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(self.order, other)
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
+        return _coerce(self.order, other) * self.inverse()
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -360,6 +350,17 @@ def _zeros(order: int) -> tuple[int, ...]:
     return (0,) * euler_phi(order)
 
 
+def _coerce(order: int, value) -> CyclotomicNumber:
+    """An int, a Fraction or an order-``order`` cyclotomic number, as the latter."""
+    if isinstance(value, CyclotomicNumber):
+        if value.order != order:
+            raise OrderMismatchError(f"order mismatch: {order} vs {value.order}")
+        return value
+    if isinstance(value, (int, Fraction)):
+        return CyclotomicNumber.from_rational(order, value)
+    raise TypeError(f"cannot combine CyclotomicNumber with {type(value).__name__}")
+
+
 def zeta_pow(r: int, k: int) -> CyclotomicNumber:
     """zeta_r^k for the distinguished primitive r-th root of unity zeta_r."""
     if r < 1:
@@ -370,3 +371,71 @@ def zeta_pow(r: int, k: int) -> CyclotomicNumber:
 def q_pow(r: int, m: int) -> CyclotomicNumber:
     """m-th power of q = zeta_r^{-1}, the clockwise primitive root."""
     return zeta_pow(r, -m)
+
+
+class Combination:
+    """Finite formal combination of keys with coefficients in the r-th
+    cyclotomic field, on a space labelled (n, r).
+
+    ``terms`` is a mapping or an iterable of (key, coefficient) pairs;
+    coefficients are ints, Fractions or order-r cyclotomic numbers.  Repeated
+    keys are summed and zero coefficients dropped, so a sum of many
+    combinations is one constructor call over all their terms.  Subclasses
+    define ``_key(n, r, key)``, which checks a key and returns its normal form.
+    """
+
+    __slots__ = ("n", "r", "terms")
+
+    def __init__(self, n: int, r: int, terms: Mapping | Iterable = ()) -> None:
+        if n < 1 or r < 1:
+            raise ValueError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
+        if isinstance(terms, Mapping):
+            terms = terms.items()
+        sums: dict = {}
+        for key, coeff in terms:
+            key = self._key(n, r, key)
+            coeff = _coerce(r, coeff)
+            prev = sums.get(key)
+            sums[key] = coeff if prev is None else prev + coeff
+        self.n = n
+        self.r = r
+        self.terms = {key: c for key, c in sums.items() if c}
+
+    def _check(self, other: "Combination") -> None:
+        if type(other) is not type(self) or other.n != self.n or other.r != self.r:
+            raise ValueError(
+                f"mismatch: {type(self).__name__}(n={self.n}, r={self.r}) vs "
+                f"{type(other).__name__}(n={other.n}, r={other.r})"
+            )
+
+    def __add__(self, other):
+        self._check(other)
+        return type(self)(self.n, self.r, [*self.terms.items(), *other.terms.items()])
+
+    def __neg__(self):
+        return type(self)(self.n, self.r, {key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, scalar):
+        s = _coerce(self.r, scalar)
+        return type(self)(self.n, self.r, {key: s * c for key, c in self.terms.items()})
+
+    def items(self):
+        return self.terms.items()
+
+    def coefficient(self, key) -> CyclotomicNumber:
+        return self.terms.get(key, CyclotomicNumber.zero(self.r))
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Combination):
+            return NotImplemented
+        mine = (type(self), self.n, self.r, self.terms)
+        return mine == (type(other), other.n, other.r, other.terms)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n}, r={self.r}, {self})"

@@ -1,5 +1,5 @@
 """Symbolic expansion of plates into the standard basis, q-plates, and
-plate-vector arithmetic.
+plate vectors (``exactnum.Combination`` over standard-basis plates).
 
 The expansion of a plate whose lump containing 1 sits in slot m works over
 *lumped shuffles*: interleavings of A = (the first m lumps, reversed, so the
@@ -26,78 +26,32 @@ from typing import Iterator
 
 from .combinatorics import Permutation
 from .core import Plate, apply_permutation, is_standard, print_plate, rotate, standard_basis
-from .exactnum import CyclotomicNumber, OrderMismatchError, q_pow
+from .exactnum import Combination, CyclotomicNumber, q_pow
 from .linalg import Echelon
 
 LumpSeq = tuple[tuple[tuple[int, ...], int], ...]
 
 
-class PlateVector:
+class PlateVector(Combination):
     """Formal combination of standard-basis plates with cyclotomic
     coefficients of order r = sum of positions."""
 
-    __slots__ = ("n", "r", "terms")
+    __slots__ = ()
 
-    def __init__(self, n: int, r: int, terms: dict[Plate, CyclotomicNumber] | None = None):
-        clean: dict[Plate, CyclotomicNumber] = {}
-        for plate, coeff in (terms or {}).items():
-            if plate.n != n or plate.r != r:
-                raise ValueError(f"term {plate} does not live on (n={n}, r={r})")
-            if not is_standard(plate):
-                raise ValueError(f"term {plate} is not a standard-basis plate")
-            c = _as_cyclotomic(r, coeff)
-            if c:
-                clean[plate] = c
-        self.n = n
-        self.r = r
-        self.terms = clean
-
-    # -- algebra -------------------------------------------------------------
-
-    def _check_compatible(self, other: "PlateVector") -> None:
-        if self.n != other.n or self.r != other.r:
-            raise ValueError(
-                f"vector mismatch: (n={self.n}, r={self.r}) vs (n={other.n}, r={other.r})"
-            )
-
-    def __add__(self, other: "PlateVector") -> "PlateVector":
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for plate, coeff in other.terms.items():
-            terms[plate] = terms.get(plate, CyclotomicNumber.zero(self.r)) + coeff
-        return PlateVector(self.n, self.r, terms)
-
-    def __neg__(self) -> "PlateVector":
-        return PlateVector(self.n, self.r, {p: -c for p, c in self.terms.items()})
-
-    def __sub__(self, other: "PlateVector") -> "PlateVector":
-        return self + (-other)
-
-    def scale(self, scalar) -> "PlateVector":
-        c = _as_cyclotomic(self.r, scalar)
-        return PlateVector(self.n, self.r, {p: c * v for p, v in self.terms.items()})
+    @staticmethod
+    def _key(n: int, r: int, plate: Plate) -> Plate:
+        if plate.n != n or plate.r != r:
+            raise ValueError(f"term {plate} does not live on (n={n}, r={r})")
+        if not is_standard(plate):
+            raise ValueError(f"term {plate} is not a standard-basis plate")
+        return plate
 
     def apply_permutation(self, sigma: Permutation) -> "PlateVector":
-        out = PlateVector(self.n, self.r)
-        for plate, coeff in self.terms.items():
-            out = out + expand(apply_permutation(sigma, plate)).scale(coeff)
-        return out
-
-    # -- views ----------------------------------------------------------------
-
-    def items(self):
-        return self.terms.items()
-
-    def coefficient(self, plate: Plate) -> CyclotomicNumber:
-        return self.terms.get(plate, CyclotomicNumber.zero(self.r))
+        images = ((coeff, expand(apply_permutation(sigma, p))) for p, coeff in self.terms.items())
+        return PlateVector(self.n, self.r, ((b, a * c) for a, v in images for b, c in v.items()))
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PlateVector):
-            return NotImplemented
-        return self.n == other.n and self.r == other.r and self.terms == other.terms
 
     def __str__(self) -> str:
         if not self.terms:
@@ -106,8 +60,6 @@ class PlateVector:
         for plate in sorted(self.terms, key=lambda p: (p.k, p.blocks, p.positions)):
             bits.append(f"({self.terms[plate]})*{print_plate(plate)}")
         return " + ".join(bits)
-
-    __repr__ = __str__
 
     def to_json(self) -> dict:
         return {
@@ -122,17 +74,9 @@ class PlateVector:
         }
 
 
-def _as_cyclotomic(r: int, value) -> CyclotomicNumber:
-    if isinstance(value, CyclotomicNumber):
-        if value.order != r:
-            raise OrderMismatchError(f"order mismatch: {value.order} vs {r}")
-        return value
-    return CyclotomicNumber.from_rational(r, value)
-
-
 def plate_vector(plate: Plate, coeff=1) -> PlateVector:
     """Single-term vector; the plate must be standard."""
-    return PlateVector(plate.n, plate.r, {plate: _as_cyclotomic(plate.r, coeff)})
+    return PlateVector(plate.n, plate.r, {plate: coeff})
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +183,7 @@ def expand(p: Plate) -> PlateVector:
         # _fuse sorts each lump and adds positive positions
         plate = Plate._trusted(p.n, tuple(b for b, _ in seq), tuple(s for _, s in seq))
         counts[plate] = counts.get(plate, 0) + sign
-    return PlateVector(
-        p.n, p.r, {b: CyclotomicNumber.from_rational(p.r, c) for b, c in counts.items()}
-    )
+    return PlateVector(p.n, p.r, counts)
 
 
 def oracle_expand(p: Plate, plan=None) -> PlateVector:
@@ -254,9 +196,7 @@ def oracle_expand(p: Plate, plan=None) -> PlateVector:
         plan = SamplePlan(p.n, p.r)
     basis = standard_basis(p.n, p.r)
     coeffs = solve_in_basis(p, basis, plan)
-    return PlateVector(
-        p.n, p.r, {b: CyclotomicNumber.from_rational(p.r, c) for b, c in zip(basis, coeffs) if c}
-    )
+    return PlateVector(p.n, p.r, ((b, c) for b, c in zip(basis, coeffs) if c))
 
 
 # ---------------------------------------------------------------------------
@@ -283,25 +223,17 @@ def qplate(p: Plate) -> QPlate:
 
 def qplate_expand(p: Plate) -> PlateVector:
     """Push every rotation of the q-plate through the standard expansion."""
-    out = PlateVector(p.n, p.r)
-    for coeff, plate in qplate(p).expansion:
-        out = out + expand(plate).scale(coeff)
-    return out
+    images = ((coeff, expand(rotated)) for coeff, rotated in qplate(p).expansion)
+    return PlateVector(p.n, p.r, ((b, a * c) for a, v in images for b, c in v.items()))
 
 
 def qbasis_matrix(n: int, r: int) -> tuple[list[list[CyclotomicNumber]], list[Plate]]:
     """Row i holds the standard-basis coordinates of the basis q-plate whose
     representative is standard_basis(n, r)[i]."""
     basis = standard_basis(n, r)
-    index = {p: j for j, p in enumerate(basis)}
-    rows = []
-    for p in basis:
-        vec = qplate_expand(p)
-        row = [CyclotomicNumber.zero(r)] * len(basis)
-        for plate, coeff in vec.items():
-            row[index[plate]] = coeff
-        rows.append(row)
-    return rows, basis
+    zero = CyclotomicNumber.zero(r)
+    vectors = [qplate_expand(p) for p in basis]
+    return [[vec.terms.get(p, zero) for p in basis] for vec in vectors], basis
 
 
 def qbasis_is_invertible(rows: list[list[CyclotomicNumber]]) -> bool:

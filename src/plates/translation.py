@@ -17,54 +17,22 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .combinatorics import Permutation
-from .exactnum import CyclotomicNumber, euler_phi, q_pow
+from .exactnum import Combination, CyclotomicNumber, euler_phi, q_pow
 
 Exponents = tuple[int, ...]
 
 
-class TranslationElement:
+class TranslationElement(Combination):
     """Element of the algebra in normal form: sparse map from exponent
     vectors (j_2..j_n) to cyclotomic coefficients of order r."""
 
-    __slots__ = ("n", "r", "terms")
+    __slots__ = ()
 
-    def __init__(self, n: int, r: int, terms: dict[Exponents, CyclotomicNumber] | None = None):
-        if n < 1 or r < 1:
-            raise ValueError("need n >= 1 and r >= 1")
-        clean: dict[Exponents, CyclotomicNumber] = {}
-        for exps, coeff in (terms or {}).items():
-            if len(exps) != n - 1:
-                raise ValueError(f"exponent vector {exps} must have length n-1 = {n-1}")
-            key = tuple(e % r for e in exps)
-            c = clean.get(key)
-            c = coeff if c is None else c + coeff
-            if c:
-                clean[key] = c
-            else:
-                clean.pop(key, None)
-        self.n = n
-        self.r = r
-        self.terms = clean
-
-    def _check(self, other: "TranslationElement") -> None:
-        if self.n != other.n or self.r != other.r:
-            raise ValueError(
-                f"algebra mismatch: (n={self.n}, r={self.r}) vs (n={other.n}, r={other.r})"
-            )
-
-    def __add__(self, other: "TranslationElement") -> "TranslationElement":
-        self._check(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            cur = terms.get(exps)
-            terms[exps] = coeff if cur is None else cur + coeff
-        return TranslationElement(self.n, self.r, terms)
-
-    def __neg__(self) -> "TranslationElement":
-        return TranslationElement(self.n, self.r, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "TranslationElement") -> "TranslationElement":
-        return self + (-other)
+    @staticmethod
+    def _key(n: int, r: int, exps: Exponents) -> Exponents:
+        if len(exps) != n - 1:
+            raise ValueError(f"exponent vector {exps} must have length n-1 = {n-1}")
+        return tuple(e % r for e in exps)
 
     def __mul__(self, other: "TranslationElement") -> "TranslationElement":
         """Convolution of the exponent maps.  Coefficients are multiplied as
@@ -93,19 +61,6 @@ class TranslationElement:
             {key: CyclotomicNumber.from_integer_poly(r, conv, den) for key, conv in sums.items()},
         )
 
-    def scale(self, scalar) -> "TranslationElement":
-        if not isinstance(scalar, CyclotomicNumber):
-            scalar = CyclotomicNumber.from_rational(self.r, scalar)
-        return TranslationElement(self.n, self.r, {e: scalar * c for e, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TranslationElement):
-            return NotImplemented
-        return self.n == other.n and self.r == other.r and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -119,8 +74,6 @@ class TranslationElement:
             bits.append(f"({self.terms[exps]})*{mono}")
         return " + ".join(bits)
 
-    __repr__ = __str__
-
 
 def _integer_terms(terms: dict[Exponents, CyclotomicNumber]):
     """(D, [(exponents, [(i, numerator of coeffs[i] * D), ...]), ...]) over the
@@ -133,12 +86,10 @@ def _integer_terms(terms: dict[Exponents, CyclotomicNumber]):
 
 
 def one(n: int, r: int) -> TranslationElement:
-    return TranslationElement(n, r, {(0,) * (n - 1): CyclotomicNumber.one(r)})
+    return TranslationElement(n, r, {(0,) * (n - 1): 1})
 
 
 def monomial(n: int, r: int, exps: Exponents, coeff=1) -> TranslationElement:
-    if not isinstance(coeff, CyclotomicNumber):
-        coeff = CyclotomicNumber.from_rational(r, coeff)
     return TranslationElement(n, r, {tuple(exps): coeff})
 
 
@@ -151,11 +102,8 @@ def normalize_word(n: int, r: int, word: Iterable[tuple[int, int]], scalar=1) ->
             raise ValueError(f"generator index {gen} out of range 1..{n}")
         exps[gen] += power
     a = exps[1] % r
-    coeff = q_pow(r, a)
-    if not isinstance(scalar, CyclotomicNumber):
-        scalar = CyclotomicNumber.from_rational(r, scalar)
     reduced = tuple((exps[i] - a) % r for i in range(2, n + 1))
-    return TranslationElement(n, r, {reduced: scalar * coeff})
+    return TranslationElement(n, r, {reduced: q_pow(r, a) * scalar})
 
 
 def generator(n: int, r: int, i: int) -> TranslationElement:
@@ -166,11 +114,12 @@ def ta_act(sigma: Permutation, elt: TranslationElement) -> TranslationElement:
     """Permute generators e_i -> e_{sigma(i)} and renormalize."""
     if sigma.n != elt.n:
         raise ValueError(f"permutation on {sigma.n} letters, algebra has n={elt.n}")
-    out = TranslationElement(elt.n, elt.r)
-    for exps, coeff in elt.terms.items():
-        word = [(sigma(i + 2), e) for i, e in enumerate(exps)]
-        out = out + normalize_word(elt.n, elt.r, word, coeff)
-    return out
+    slots = [sigma(i) for i in range(2, elt.n + 1)]
+    images = ((_monomial_image(slots, elt.r, exps), coeff) for exps, coeff in elt.items())
+    # sigma permutes the basis monomials, so no two terms land on one monomial
+    return TranslationElement(
+        elt.n, elt.r, ((image, q_pow(elt.r, a) * coeff) for (a, image), coeff in images)
+    )
 
 
 def _monomial_image(slots: list[int], r: int, exps: Exponents):
@@ -182,12 +131,6 @@ def _monomial_image(slots: list[int], r: int, exps: Exponents):
         new[slot] = e
     a = new[1] % r
     return a, tuple([(x - a) % r for x in new[2:]])
-
-
-def _act_on_monomial(sigma: Permutation, n: int, r: int, exps: Exponents):
-    """Image of a basis monomial: (coefficient, exponent vector)."""
-    a, image = _monomial_image([sigma(i) for i in range(2, n + 1)], r, exps)
-    return q_pow(r, a), image
 
 
 def basis_exponents(n: int, r: int):
@@ -297,9 +240,7 @@ def verify_partition_of_unity(n: int, r: int):
     gens = [generator(n, r, i) for i in range(1, n + 1)]
     failures = []
 
-    total = TranslationElement(n, r)
-    for label in labels:
-        total = total + eps[label]
+    total = TranslationElement(n, r, (term for e in eps.values() for term in e.items()))
     if total != one(n, r):
         failures.append("sum of idempotents is not the identity")
 
@@ -323,9 +264,8 @@ def verify_partition_of_unity(n: int, r: int):
         checked = "sampled"
     else:
         checked = "exhaustive"
-    zero = TranslationElement(n, r)
     for a, b in pairs:
-        if eps[a] * eps[b] != zero:
+        if eps[a] * eps[b]:
             failures.append(f"orthogonality fails for {a}, {b}")
 
     details = {

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from plates.characters import ENGINES
 from plates.cli import main
 
 
@@ -164,6 +165,30 @@ def test_non_character_exits_1(capsys, monkeypatch):
     code = main(["multiplicities", "--n", "2", "--r", "2", "--json"])
     assert code == 1
     assert "not a character" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["character", "multiplicities"])
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("n, r", [(0, 2), (2, 0)])
+def test_empty_group_or_slice_exits_2_for_every_engine(capsys, command, engine, n, r):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", str(n), "--r", str(r), "--engine", engine, "--json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"need n >= 1 and r >= 1, got n={n}, r={r}" in captured.err
+
+
+def test_failed_dimension_audit_exits_1(capsys, monkeypatch):
+    import plates.cli
+    from plates.characters import mn_character
+
+    # a genuine character (the trivial one) whose dimension 1 is not r^(n-1) = 2
+    monkeypatch.setattr(plates.cli, "character", lambda engine, n, r: mn_character((2,)))
+    code, payload = run_json(capsys, "multiplicities", "--n", "2", "--r", "2")
+    assert code == 1
+    assert payload["multiplicities"] == {"2": 1}
+    assert payload["dimension_audit"] is False
 
 
 def test_expand_at_n6_r2_walks_on_to_the_next_prime(capsys):

@@ -17,6 +17,7 @@ from plates.core import (
     rotate,
     standard_basis,
 )
+from test_exactnum import given
 
 
 def test_parse_examples():
@@ -63,6 +64,30 @@ def test_parse_print_round_trip_randomized():
         n, r = rng.randint(1, 6), rng.randint(1, 5)
         p = rand_plate(rng, n, r)
         assert parse_plate(print_plate(p)) == p
+
+
+def random_plates(st):
+    """Plates on n <= 6: a permutation of 1..n cut into lumps where the flags
+    say, with positions up to 4."""
+
+    def draw(n):
+        return st.tuples(
+            st.permutations(range(1, n + 1)),
+            st.lists(st.booleans(), min_size=n - 1, max_size=n - 1),
+            st.lists(st.integers(1, 4), min_size=n, max_size=n),
+        ).map(lambda t: build(n, *t))
+
+    def build(n, perm, cut_after, positions):
+        bounds = [0, *(i + 1 for i, cut in enumerate(cut_after) if cut), n]
+        blocks = tuple(perm[a:b] for a, b in zip(bounds, bounds[1:]))
+        return Plate(n, blocks, tuple(positions[: len(blocks)]))
+
+    return st.integers(1, 6).flatmap(draw)
+
+
+@given(random_plates)
+def test_parse_print_round_trip_property(p):
+    assert parse_plate(print_plate(p)) == p
 
 
 def test_evaluate_examples():
