@@ -65,7 +65,6 @@ from .characters import (
     trivial_multiplicity_series,
 )
 from .oracle import (
-    GenericSamplingError,
     SamplePlan,
     SpanError,
     sample_generic,

@@ -1,7 +1,7 @@
 """Command-line interface: expansions, characters, and verification suites.
 
 Exit codes: 0 success, 1 verification failure (witness in the JSON, or an
-error on stderr when the oracle cannot fit or sample), 2 usage errors.  With
+error on stderr when the oracle cannot fit), 2 usage errors.  With
 --json the stdout payload is deterministic for fixed flags and seed (per-check
 timings go to stderr, never into the JSON).
 """
@@ -48,7 +48,7 @@ from .expansion import (
     qplate,
     qplate_expand,
 )
-from .oracle import GenericSamplingError, SamplePlan, SpanError, rank_report, verify_identity_ae
+from .oracle import SamplePlan, SpanError, rank_report, verify_identity_ae
 from .translation import fixed_label_count, verify_partition_of_unity
 from .worpitzky import classical_worpitzky_check, verify_categorified_worpitzky
 
@@ -164,6 +164,7 @@ def cmd_multiplicities(args) -> int:
     }
     lines = [f"irreducible multiplicities, n={args.n}, r={args.r}"]
     lines += [f"  {_partition_key(mu):>12}  {m}" for mu, m in table.items()]
+    lines.append(f"dimension audit: {payload['dimension_audit']}")
     _emit(args, payload, lines)
     return 0 if payload["dimension_audit"] else 1
 
@@ -437,7 +438,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NotACharacterError, SpanError, GenericSamplingError) as exc:  # failures, not usage errors
+    except (NotACharacterError, SpanError) as exc:  # failures, not usage errors
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (PlateParseError, PermutationParseError, ValueError) as exc:

@@ -409,6 +409,8 @@ class Combination:
             )
 
     def __add__(self, other):
+        if not isinstance(other, Combination):
+            return NotImplemented
         self._check(other)
         return type(self)(self.n, self.r, [*self.terms.items(), *other.terms.items()])
 
@@ -416,6 +418,8 @@ class Combination:
         return type(self)(self.n, self.r, {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, Combination):
+            return NotImplemented
         return self + (-other)
 
     def scale(self, scalar):

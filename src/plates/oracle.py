@@ -5,8 +5,9 @@ the closed regions, so every check here happens at *generic* rational points:
 points of the simplex slice where no proper subset of coordinates sums to an
 integer.  Ranks and solves walk every generic point of a prime denominator in
 a fixed order, moving on to larger primes while the rank is short; identity
-checks use a seeded sample of those points.  So runs are reproducible and
-every rank and solve returned is exact over the rationals.
+checks draw up to ``_CHECK_POINTS`` distinct points of the plan's lattice by a
+seeded random descent of the same tree.  So runs are reproducible and every
+rank and solve returned is exact over the rationals.
 
 Every point is a/D with integer numerators a summing to r*D, so a
 plate is evaluated there by integer comparisons against the subset-sums of a
@@ -33,10 +34,6 @@ Point = tuple[Fraction, ...]
 FlagTest = tuple[tuple[int, int], ...]
 
 
-class GenericSamplingError(RuntimeError):
-    """No generic point found within the retry cap; raise the denominator."""
-
-
 class SpanError(RuntimeError):
     """Target is not in the almost-everywhere span of the basis."""
 
@@ -52,10 +49,8 @@ def next_prime_above(n: int) -> int:
     return c
 
 
-# The seeded sampler's fixed sizes: points checked by verify_identity_ae, and
-# candidates tried for each generic point.
+# Points checked by verify_identity_ae; a smaller lattice is checked in full.
 _CHECK_POINTS = 48
-_MAX_TRIES_PER_POINT = 100_000
 
 
 @dataclass(frozen=True)
@@ -96,32 +91,17 @@ def _reach(reach: int, a: int, d: int) -> int:
     return reach | ((reach << m | reach >> (d - m)) & ((1 << d) - 1)) | 1 << m
 
 
-def _is_generic(numerators: Sequence[int], d: int) -> bool:
-    """No proper nonempty subset of a/d coordinates sums to an integer.
-
-    The numerators must total a multiple of d.  Then a subset and its
-    complement are equivalent, and every proper nonempty subset or its
-    complement omits the last coordinate, so it is enough that no nonempty
-    subset of the others sums to 0 mod d.
-    """
-    reach = 0
-    for a in numerators[:-1]:
-        reach = _reach(reach, a, d)
-        if reach & 1:
-            return False
-    return True
-
-
 def _compositions(n: int, total: int, d: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """(a, _subset_sums(a)) for every composition a of ``total`` into n
-    positive parts that passes ``_is_generic``, in lexicographic order.
+    positive parts whose first n - 1 parts have no nonempty subset summing to
+    0 mod d, in lexicographic order.
 
-    With total = r*d these are the numerators of every generic point a/d of
-    the (n, r) slice, which is exactly the set the seeded sampler draws from:
-    a zero part is never generic when n >= 2, so positive parts lose nothing.
-    The walk is depth-first with ascending parts, and a prefix is dropped as
-    soon as one of its subsets sums to 0 mod d, so no descendant of it is
-    tried.
+    With total = r*d these are the numerators of every generic point a/d of the
+    (n, r) slice: a subset and its complement are then equivalent and one of
+    them omits the last part, and a zero part is never generic when n >= 2.
+    The walk is depth-first with ascending parts and drops a prefix, with all
+    below it, once a subset sums to 0 mod d; ``_sample_numerators`` descends
+    the same tree at random.
     """
 
     def walk(prefix: tuple[int, ...], left: int, reach: int, sums: list[int]):
@@ -144,26 +124,39 @@ def _seed_int(plan: SamplePlan) -> int:
 
 
 def _sample_numerators(plan: SamplePlan, count: int) -> list[tuple[int, ...]]:
-    """Numerators a of the plan's first ``count`` generic points a/D, drawn
-    from a fresh RNG seeded by the plan, so shorter requests are prefixes."""
-    d = plan.resolved_denominator
+    """Numerators a of up to ``count`` distinct generic points a/D, drawn by a
+    random descent of the ``_compositions`` tree from one RNG seeded by the
+    plan, so shorter requests are prefixes of longer ones.  Each draw picks
+    each next part uniformly among those that ``_reach`` keeps live and that
+    may still lead to an undrawn point, listed on the prefix's first visit.  A
+    drawn leaf leaves its parent, as does a prefix with no undrawn point left.
+    (1, ..., 1, rD - n + 1) is generic, so no lattice is empty.
+    """
+    n, d = plan.n, plan.resolved_denominator
     total = plan.r * d
     rng = random.Random(_seed_int(plan))
-    numerators = []
-    while len(numerators) < count:
-        for _ in range(_MAX_TRIES_PER_POINT):
-            cuts = sorted(rng.randint(0, total) for _ in range(plan.n - 1))
-            bounds = [0] + cuts + [total]
-            nums = tuple(b - a for a, b in zip(bounds, bounds[1:]))
-            if _is_generic(nums, d):
+    live: dict[tuple[int, ...], list[int]] = {}  # visited prefix -> its parts still in play
+    drawn: list[tuple[int, ...]] = []
+    while len(drawn) < count:
+        prefix, reach = (), 0
+        while len(prefix) < n - 1:
+            if prefix not in live:
+                span = range(1, total - sum(prefix) - (n - len(prefix)) + 2)
+                live[prefix] = [a for a in span if not _reach(reach, a, d) & 1]
+            if not live[prefix]:
+                break  # every completion of the prefix is drawn or not generic
+            a = rng.choice(live[prefix])
+            prefix, reach = (*prefix, a), _reach(reach, a, d)
+        else:
+            drawn.append((*prefix, total - sum(prefix)))
+        while prefix:  # remove the prefix from its parent, and each parent it empties
+            prefix, a = prefix[:-1], prefix[-1]
+            live[prefix].remove(a)
+            if live[prefix]:
                 break
         else:
-            raise GenericSamplingError(
-                f"no generic point in {_MAX_TRIES_PER_POINT} tries for "
-                f"n={plan.n}, r={plan.r}, denominator={d}; use a larger denominator"
-            )
-        numerators.append(nums)
-    return numerators
+            return drawn  # the whole lattice is drawn
+    return drawn
 
 
 def _point(numerators: Sequence[int], d: int) -> Point:
@@ -171,10 +164,11 @@ def _point(numerators: Sequence[int], d: int) -> Point:
 
 
 def sample_generic(plan: SamplePlan, count: int) -> list[Point]:
-    """Deterministic generic points on {x >= 0, sum(x) = r} with denominator D.
+    """Up to ``count`` distinct generic points on {x >= 0, sum(x) = r} with
+    denominator D, fewer only when the lattice has fewer.
 
     The same plan yields the same list; shorter requests are prefixes of
-    longer ones.
+    longer ones (``_sample_numerators``).
     """
     d = plan.resolved_denominator
     return [_point(a, d) for a in _sample_numerators(plan, count)]
@@ -467,9 +461,9 @@ def _combination_terms(side, plan: SamplePlan) -> list[tuple[object, FlagTest]]:
 
 
 def verify_identity_ae(lhs, rhs, plan: SamplePlan):
-    """Check two formal plate combinations agree at the plan's first
-    ``_CHECK_POINTS`` sampled generic points.  Returns (ok, witness).  (Not on
-    the lattice walk: a rank certificate would need the slice's whole basis.)"""
+    """Check two formal plate combinations agree at up to ``_CHECK_POINTS``
+    sampled generic points, every point of a smaller lattice.  Returns (ok,
+    witness).  (No rank certificate: that would need the slice's whole basis.)"""
     lterms = _combination_terms(lhs, plan)
     rterms = _combination_terms(rhs, plan)
     for a, sums in _check_points(plan):
@@ -480,7 +474,7 @@ def verify_identity_ae(lhs, rhs, plan: SamplePlan):
 
 @lru_cache(maxsize=16)
 def _check_points(plan: SamplePlan) -> tuple[tuple[tuple[int, ...], list[int]], ...]:
-    """(a, _subset_sums(a)) for the plan's first ``_CHECK_POINTS`` sampled points."""
+    """(a, _subset_sums(a)) for up to ``_CHECK_POINTS`` sampled points of the plan."""
     return tuple((a, _subset_sums(a)) for a in _sample_numerators(plan, _CHECK_POINTS))
 
 

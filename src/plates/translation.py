@@ -39,6 +39,8 @@ class TranslationElement(Combination):
         integer numerator vectors over the product of the two common
         denominators, summed per exponent key, and reduced mod the cyclotomic
         polynomial once per key."""
+        if not isinstance(other, Combination):
+            return NotImplemented
         self._check(other)
         r = self.r
         den1, terms1 = _integer_terms(self.terms)

@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from plates import characters, translation
 from plates.characters import (
+    ENGINES,
     ClassFunction,
     NotACharacterError,
     action_matrix,
+    character,
     character_inner_product,
     gcd_character,
     gcd_formula,
@@ -127,6 +130,40 @@ def test_plate_character_matches_closed_form():
     for n in range(1, 7):
         for r in range(1, 5):
             assert plate_character(n, r).as_dict() == gcd_character(n, r).as_dict(), (n, r)
+
+
+# Each character route, and the module-level names it can be reached by.
+_ROUTES = {
+    "plates": [(characters, "plate_trace")],
+    "translation": [(characters, "ta_trace"), (translation, "ta_trace")],
+    "diophantine": [(characters, "diophantine_count"), (translation, "diophantine_count")],
+    "formula": [(characters, "gcd_formula")],
+    "fixed-labels": [(translation, "fixed_label_count")],
+}
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+@pytest.mark.parametrize("n, r", [(4, 3), (5, 2)])
+def test_each_character_route_runs_with_the_others_disabled(monkeypatch, route, n, r):
+    # no route may reach another, by name or through the engine table
+    expected = {lam: gcd_formula(lam, r) for lam in partitions(n)}
+
+    def disabled(*args):
+        raise RuntimeError(f"the {route} route called another route")
+
+    for other, names in _ROUTES.items():
+        if other != route:
+            for module, name in names:
+                monkeypatch.setattr(module, name, disabled)
+            if other in ENGINES:
+                monkeypatch.setitem(ENGINES, other, disabled)
+    if route in ENGINES:
+        values = character(route, n, r).as_dict()
+    else:
+        sigma = permutation_with_cycle_type
+        values = {lam: translation.fixed_label_count(sigma(lam), n, r) for lam in partitions(n)}
+    assert values == expected
+    assert set(ENGINES) | {"fixed-labels"} == set(_ROUTES)
 
 
 def test_gcd_formula_examples():

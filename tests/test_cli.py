@@ -189,6 +189,9 @@ def test_failed_dimension_audit_exits_1(capsys, monkeypatch):
     assert code == 1
     assert payload["multiplicities"] == {"2": 1}
     assert payload["dimension_audit"] is False
+    code, out = run(capsys, "multiplicities", "--n", "2", "--r", "2")
+    assert code == 1
+    assert out.splitlines()[-1] == "dimension audit: False"
 
 
 def test_expand_at_n6_r2_walks_on_to_the_next_prime(capsys):
@@ -207,7 +210,15 @@ def test_verify_relations_at_n6_r2(capsys):
     assert payload["ok"] is True and len(payload["checks"]) == 63
 
 
-@pytest.mark.parametrize("error", ["SpanError", "GenericSamplingError"])
+def test_verify_cyclic_sum_at_n10_r2(capsys):
+    # generic points are rare at the default D = 11; the seeded descent of
+    # the lattice finds them without a retry cap
+    code, payload = run_json(capsys, "verify", "--suite", "cyclic-sum", "--n", "10", "--r", "2")
+    assert code == 0
+    assert payload["ok"] is True
+
+
+@pytest.mark.parametrize("error", ["SpanError"])
 def test_oracle_failures_exit_1(capsys, monkeypatch, error):
     import plates.cli
     from plates import oracle

@@ -9,7 +9,7 @@ import pytest
 from plates.core import standard_basis
 from plates.exactnum import CyclotomicNumber
 from plates.expansion import PlateVector
-from plates.translation import TranslationElement
+from plates.translation import TranslationElement, one
 from test_exactnum import fractions, given
 
 SPACES = [(1, 3), (2, 2), (2, 4), (3, 2), (3, 3)]
@@ -84,3 +84,20 @@ def test_plate_vectors_and_translation_elements_do_not_mix(pair):
         te + pv
     assert (pv == te) is False
     assert (te == pv) is False
+
+
+@pytest.mark.parametrize("operand", [1, 2.5, "x", None])
+def test_a_non_combination_operand_raises_type_error(operand):
+    element = one(2, 2)
+    for apply in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            apply(element, operand)
+        with pytest.raises(TypeError):
+            apply(operand, element)
+    with pytest.raises(TypeError):
+        PlateVector(2, 2) + operand
+    # mismatched combinations still raise from the mismatch check
+    with pytest.raises(ValueError, match="mismatch"):
+        element * one(2, 3)
+    with pytest.raises(ValueError, match="mismatch"):
+        element - one(3, 2)

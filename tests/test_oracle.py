@@ -19,7 +19,6 @@ from plates.oracle import (
     _flag_test,
     _gf2_insert,
     _holds,
-    _is_generic,
     _sample_numerators,
     _subset_sums,
 )
@@ -39,24 +38,28 @@ def test_plan_validation():
     assert SamplePlan(4, 2).resolved_denominator == 5
 
 
-def test_genericity_predicate():
-    # (3/5, 7/5): x1 = 3/5 is not an integer -> generic
-    assert _is_generic([3, 7], 5)
-    # (1, 1) over denominator 5 -> (5/5, 5/5): x1 integer -> rejected
-    assert not _is_generic([5, 5], 5)
-
-
-def test_sampled_points_are_generic_and_on_slice():
-    plan = SamplePlan(4, 3)
-    d = plan.resolved_denominator
-    for x in sample_generic(plan, 40):
-        assert sum(x) == 3
+def _assert_generic_on_slice(points, r):
+    for x in points:
+        assert sum(x) == r
         assert all(v >= 0 for v in x)
         # no proper nonempty subset sums to an integer
         n = len(x)
         for mask in range(1, (1 << n) - 1):
             s = sum(x[i] for i in range(n) if mask >> i & 1)
             assert s.denominator != 1
+
+
+def test_sampled_points_are_generic_and_on_slice():
+    _assert_generic_on_slice(sample_generic(SamplePlan(4, 3), 40), 3)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_sampling_at_large_n_draws_distinct_generic_points(n):
+    # the default D = 11 has few generic points among all compositions, so a
+    # rejection sampler stalled at n = 9 and found none at n = 10
+    points = sample_generic(SamplePlan(n, 3), 48)
+    assert len(points) == len(set(points)) == 48
+    _assert_generic_on_slice(points, 3)
 
 
 def test_sampling_is_deterministic_with_prefix_property():
@@ -203,20 +206,11 @@ def test_lattice_is_every_generic_composition_in_order(d):
             assert [a for a, _ in walked] == expected, (n, r)
             for a, sums in walked:
                 assert sums == _subset_sums(a), a
-            # the seeded sampler draws from the same set
+            # asked for more, the seeded descent draws every point once
             for seed in range(4):
-                drawn = _sample_numerators(SamplePlan(n, r, seed=seed, denominator=d), 30)
-                assert set(drawn) <= set(expected), (n, r, seed)
-    # the residue fold agrees with every subset sum on candidates the sampler
-    # would draw, zero parts included
-    rng = random.Random(d)
-    for n in range(1, 7):
-        for r in range(1, 4):
-            total = r * d
-            for _ in range(100):
-                bounds = [0, *sorted(rng.randint(0, total) for _ in range(n - 1)), total]
-                a = tuple(y - x for x, y in zip(bounds, bounds[1:]))
-                assert _is_generic(a, d) == _brute_generic(a, d), a
+                plan = SamplePlan(n, r, seed=seed, denominator=d)
+                drawn = _sample_numerators(plan, len(expected) + 1)
+                assert sorted(drawn) == expected, (n, r, seed)
 
 
 def test_rank_matches_dimension():
