@@ -94,6 +94,7 @@ from . import combinatorics as _combinatorics
 from . import core as _core
 from . import exactnum as _exactnum
 from . import oracle as _oracle
+from . import translation as _translation
 
 __version__ = "0.1.0"
 
@@ -109,14 +110,16 @@ _LRU_CACHES = (
     _characters._mn_value,
     _oracle._check_points,
     _oracle._solver,
+    _translation._digit_columns,
     expand,
 )
 
 
 def clear_caches() -> None:
     """Empty every module-level cache: expansions, standard bases, partitions,
-    Eulerian numbers, cyclotomic tables, Murnaghan-Nakayama values, and the
-    oracle's check points and basis solvers.  Results are unchanged; only
-    the memory and the work of rebuilding them move."""
+    Eulerian numbers, cyclotomic tables, Murnaghan-Nakayama values, the
+    oracle's check points and basis solvers, and the translation algebra's
+    digit columns.  Results are unchanged; only the memory and the work of
+    rebuilding them move."""
     for cache in _LRU_CACHES:
         cache.cache_clear()

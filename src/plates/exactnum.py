@@ -205,6 +205,11 @@ class CyclotomicNumber:
     def __mul__(self, other):
         o = _coerce(self.order, other)
         a, b = self.numerators, o.numerators
+        # both are canonical, so a zero factor is already the canonical zero
+        if not any(a):
+            return self
+        if not any(b):
+            return o
         conv = [0] * (2 * len(a) - 1)
         for i, ai in enumerate(a):
             if not ai:
@@ -400,6 +405,16 @@ class Combination:
         self.n = n
         self.r = r
         self.terms = {key: c for key, c in sums.items() if c}
+
+    @classmethod
+    def _trusted(cls, n: int, r: int, terms: dict) -> "Combination":
+        """A combination over a dict that already maps normal-form keys to
+        nonzero order-r cyclotomic numbers; nothing is checked or copied."""
+        out = object.__new__(cls)
+        out.n = n
+        out.r = r
+        out.terms = terms
+        return out
 
     def _check(self, other: "Combination") -> None:
         if type(other) is not type(self) or other.n != self.n or other.r != self.r:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -35,33 +36,53 @@ class TranslationElement(Combination):
         return tuple(e % r for e in exps)
 
     def __mul__(self, other: "TranslationElement") -> "TranslationElement":
-        """Convolution of the exponent maps.  Coefficients are multiplied as
-        integer numerator vectors over the product of the two common
-        denominators, summed per exponent key, and reduced mod the cyclotomic
-        polynomial once per key."""
+        """Convolution of the exponent maps, as one integer product per pair
+        of terms.
+
+        An exponent vector e becomes the code sum(e_j * (2r)^j), so a product
+        monomial's code is the sum of two codes with every digit below 2r and
+        no carry.  A coefficient becomes its numerator vector over the
+        operand's common denominator, packed into one integer with k-bit
+        digits.  Products are summed per code, and each distinct code is
+        reduced mod r once.  A key whose packed sum is 0 is dropped at once;
+        any other is unpacked into balanced digits and reduced mod the
+        cyclotomic polynomial."""
         if not isinstance(other, Combination):
             return NotImplemented
         self._check(other)
-        r = self.r
-        den1, terms1 = _integer_terms(self.terms)
-        den2, terms2 = _integer_terms(other.terms)
-        width = 2 * euler_phi(r) - 1
-        sums: dict[Exponents, list[int]] = {}
-        for e1, c1 in terms1:
-            for e2, c2 in terms2:
-                key = tuple([(a + b) % r for a, b in zip(e1, e2)])
-                conv = sums.get(key)
-                if conv is None:
-                    conv = sums[key] = [0] * width
-                for i, x in c1:
-                    for j, y in c2:
-                        conv[i + j] += x * y
+        n, r = self.n, self.r
+        den1, largest1, terms1 = _integer_terms(self.terms, r)
+        den2, largest2, terms2 = _integer_terms(other.terms, r)
+        # a key's convolution digit sums at most min(len) pairs of terms (one
+        # per term of the shorter operand), each adding at most phi products
+        phi = euler_phi(r)
+        bound = largest1 * largest2 * phi * min(len(terms1), len(terms2))
+        k = bound.bit_length() + 1  # every digit lies in (-2^(k-1), 2^(k-1))
+        packed1 = [(code, _pack(nums, k)) for code, nums in terms1]
+        packed2 = [(code, _pack(nums, k)) for code, nums in terms2]
+        sums: dict[int, int] = {}
+        get = sums.get
+        for code1, p1 in packed1:
+            for code2, p2 in packed2:
+                code = code1 + code2
+                sums[code] = get(code, 0) + p1 * p2
+        keyed: dict[Exponents, int] = {}
+        base = 2 * r
+        for code, total in sums.items():
+            key = []
+            for _ in range(n - 1):
+                code, digit = divmod(code, base)
+                key.append(digit - r if digit >= r else digit)
+            key = tuple(key)
+            keyed[key] = keyed.get(key, 0) + total
         den = den1 * den2
-        return TranslationElement(
-            self.n,
-            r,
-            {key: CyclotomicNumber.from_integer_poly(r, conv, den) for key, conv in sums.items()},
-        )
+        terms = {}
+        for key, total in keyed.items():
+            if total:
+                value = CyclotomicNumber.from_integer_poly(r, _unpack(total, k, 2 * phi - 1), den)
+                if value:
+                    terms[key] = value
+        return TranslationElement._trusted(n, r, terms)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -77,14 +98,42 @@ class TranslationElement(Combination):
         return " + ".join(bits)
 
 
-def _integer_terms(terms: dict[Exponents, CyclotomicNumber]):
-    """(D, [(exponents, [(i, numerator of coeffs[i] * D), ...]), ...]) over the
-    least common denominator D, listing nonzero numerators only."""
+def _integer_terms(terms: dict[Exponents, CyclotomicNumber], r: int):
+    """(D, M, [(code of exponents, [numerator of coeff * D, ...]), ...]) over
+    the least common denominator D, where the code is sum(e_j * (2r)^j) and M
+    is the largest absolute numerator."""
     den = lcm(1, *(c.denominator for c in terms.values()))
-    return den, [
-        (exps, [(i, a * (den // c.denominator)) for i, a in enumerate(c.numerators) if a])
-        for exps, c in terms.items()
-    ]
+    out = []
+    for exps, c in terms.items():
+        code = 0
+        for e in reversed(exps):
+            code = code * 2 * r + e
+        scale = den // c.denominator
+        out.append((code, [a * scale for a in c.numerators] if scale != 1 else c.numerators))
+    largest = max(map(abs, itertools.chain.from_iterable(nums for _, nums in out)), default=0)
+    return den, largest, out
+
+
+def _pack(nums: Sequence[int], k: int) -> int:
+    """sum(nums[i] * 2^(k*i)): the polynomial evaluated at 2^k."""
+    packed = 0
+    for a in reversed(nums):
+        packed = (packed << k) + a
+    return packed
+
+
+def _unpack(packed: int, k: int, length: int) -> list[int]:
+    """The length digits of sum(d_i * 2^(k*i)), each d_i in [-2^(k-1), 2^(k-1))."""
+    mask = (1 << k) - 1
+    half = 1 << (k - 1)
+    digits = []
+    for _ in range(length):
+        d = packed & mask
+        if d >= half:
+            d -= 1 << k
+        digits.append(d)
+        packed = (packed - d) >> k
+    return digits
 
 
 def one(n: int, r: int) -> TranslationElement:
@@ -139,16 +188,52 @@ def basis_exponents(n: int, r: int):
     return itertools.product(range(r), repeat=n - 1)
 
 
+@lru_cache(maxsize=4)
+def _digit_columns(n: int, r: int) -> tuple[int, int, tuple[int, ...]]:
+    """The basis exponent vectors as packed digit columns: (width, ones,
+    columns), where field i of columns[s], bits width*i up, holds digit s of
+    the i-th vector of basis_exponents(n, r), and ones has a 1 in every
+    field.  Fields are whole bytes and hold any value below 3r with the top
+    bit clear."""
+    size = r ** (n - 1)
+    nbytes = (3 * r - 1).bit_length() // 8 + 1
+    columns = []
+    for s in range(n - 1):
+        run = r ** (n - 2 - s)  # digit s is constant over runs of this length
+        cycle = b"".join(d.to_bytes(nbytes, "little") * run for d in range(r))
+        columns.append(int.from_bytes(cycle * (size // (r * run)), "little"))
+    ones = int.from_bytes((1).to_bytes(nbytes, "little") * size, "little")
+    return 8 * nbytes, ones, tuple(columns)
+
+
 def ta_trace(sigma: Permutation, n: int, r: int) -> CyclotomicNumber:
     """Trace of the permutation on the monomial basis; the action matrix is
     monomial, so only self-mapped monomials contribute.  They are counted per
-    power of zeta, and the counts become one cyclotomic number."""
-    slots = [sigma(i) for i in range(2, n + 1)]
+    power of zeta, and the counts become one cyclotomic number.
+
+    Every basis monomial is tested, one packed field each: sigma sends the
+    monomial with exponents e to q^a times the one with digits
+    (x_j - a) mod r, where x_j is the exponent moved onto e_{j+2} and a the
+    one moved onto e_1 (0 from e_1 itself).  Digit j is fixed iff
+    x_j + 2r - a - e_j, a field value in [2, 3r), is r or 2r."""
+    width, ones, columns = _digit_columns(n, r)
+    top = ones << (width - 1)
+    below = top - ones  # the bits under each field's top bit
+
+    def zero_fields(v):  # top bit of each field of v that is 0; fields < 2^(width-1)
+        return top & ~(v + below)
+
+    moved = [0] * (n + 1)  # moved[i]: column of the exponent sigma moves onto e_i
+    for s, column in enumerate(columns):
+        moved[sigma(s + 2)] = column
+    a = moved[1]
+    fixed = top
+    for column, x in zip(columns, moved[2:]):
+        diff = x + 2 * r * ones - a - column
+        fixed &= zero_fields(diff ^ r * ones) | zero_fields(diff ^ 2 * r * ones)
     counts = [0] * r  # counts[m]: fixed monomials with coefficient q^{-m} = zeta^m
-    for exps in basis_exponents(n, r):
-        a, image = _monomial_image(slots, r, exps)
-        if image == exps:
-            counts[-a % r] += 1
+    for digit in range(r):
+        counts[-digit % r] = (fixed & zero_fields(a ^ digit * ones)).bit_count()
     return CyclotomicNumber.from_integer_poly(r, counts)
 
 

@@ -4,11 +4,11 @@ from dataclasses import replace
 import plates
 from plates import oracle
 from plates.characters import mn_character, plate_character
-from plates.combinatorics import eulerian_row, partitions
+from plates.combinatorics import eulerian_row, partitions, permutation_with_cycle_type
 from plates.core import all_plates, parse_plate, standard_basis
 from plates.expansion import expand, oracle_expand, qbasis_matrix
 from plates.oracle import SamplePlan, next_prime_above, rank_report, verify_identity_ae
-from plates.translation import verify_partition_of_unity
+from plates.translation import ta_trace, verify_partition_of_unity
 from plates.worpitzky import verify_categorified_worpitzky
 
 
@@ -35,6 +35,7 @@ def results():
         verify_identity_ae(parse_plate("[[{1,2}_2]]"), parse_plate("[[{1}_1 {2}_1]]"), SamplePlan(2, 2)),
         verify_categorified_worpitzky(4, 4).to_json(),
         verify_partition_of_unity(2, 3),
+        ta_trace(permutation_with_cycle_type((2, 1)), 3, 4),
     )
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from plates import exactnum
 from plates.exactnum import (
     CyclotomicNumber,
     OrderMismatchError,
@@ -118,6 +119,20 @@ def test_errors():
         CyclotomicNumber.zero(7).inverse()
     with pytest.raises(ValueError):
         cyclotomic_polynomial(0)
+
+
+def test_zero_factor_gives_canonical_zero_without_reduction(monkeypatch):
+    x = CyclotomicNumber(5, [Fraction(1, 3), 2, 0, Fraction(-7, 2)])
+    zero = CyclotomicNumber.zero(5)
+
+    def no_fold(order, poly):
+        raise AssertionError("a zero factor reached _fold")
+
+    monkeypatch.setattr(exactnum, "_fold", no_fold)
+    for product in (x * zero, zero * x, x * 0, 0 * x, zero * zero, x * Fraction(0)):
+        assert (product.order, product.numerators, product.denominator) == (5, (0,) * 4, 1)
+    with pytest.raises(OrderMismatchError):
+        zero * zeta_pow(3, 1)
 
 
 def test_q_is_inverse_root():

@@ -14,6 +14,7 @@ from plates.combinatorics import (
 )
 from plates.exactnum import CyclotomicNumber, q_pow, zeta_pow
 from plates.translation import (
+    TranslationElement,
     admissible_labels,
     basis_exponents,
     diophantine_count,
@@ -27,6 +28,7 @@ from plates.translation import (
     ta_trace,
     verify_partition_of_unity,
 )
+from test_exactnum import given
 
 
 def test_normal_form_examples():
@@ -105,7 +107,8 @@ def test_diophantine_matches_enumeration():
 
 
 def test_trace_matches_per_monomial_sum():
-    for n, r in [(1, 3), (2, 5), (3, 4), (4, 3), (3, 6)]:
+    # (2, 43) packs the basis into two-byte fields
+    for n, r in [(1, 3), (1, 20), (2, 5), (2, 17), (2, 43), (3, 1), (3, 4), (3, 6), (3, 9), (4, 3)]:
         for sigma in all_permutations(n):
             acc = CyclotomicNumber.zero(r)
             for exps in basis_exponents(n, r):
@@ -178,6 +181,46 @@ def test_partition_of_unity_sampled_mode(monkeypatch):
     assert ok, details
     assert details["pair_mode"] == "sampled"
     assert details["checked_pairs"] == 20
+
+
+def _elements(st):
+    """(x, y, z): three elements of one algebra with n <= 3 and r <= 6 (n = 1
+    and r in {1, 2} included), possibly empty, whose coefficients have
+    negative, fractional and above-2^64 numerators."""
+    big = st.integers(-(2**80), 2**80)
+    small = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    scalar = st.one_of(big, small, big.map(lambda a: a / 7))
+
+    def draw(nr):
+        n, r = nr
+        exps = st.tuples(*[st.integers(0, r - 1)] * (n - 1))
+        coeff = st.lists(scalar, max_size=r + 1).map(lambda v: CyclotomicNumber(r, v))
+        elt = st.dictionaries(exps, coeff, max_size=r ** (n - 1)).map(
+            lambda terms: TranslationElement(n, r, terms)
+        )
+        return st.tuples(elt, elt, elt)
+
+    return st.tuples(st.integers(1, 3), st.sampled_from([1, 2, 3, 4, 5, 6])).flatmap(draw)
+
+
+def _schoolbook(x, y):
+    """The convolution, one CyclotomicNumber product per pair of terms."""
+    terms = [
+        (tuple((a + b) % x.r for a, b in zip(e1, e2)), c1 * c2)
+        for e1, c1 in x.items()
+        for e2, c2 in y.items()
+    ]
+    return TranslationElement(x.n, x.r, terms)
+
+
+@given(_elements)
+def test_product_matches_schoolbook_convolution(drawn):
+    x, y, z = drawn
+    xy = x * y
+    assert xy == _schoolbook(x, y)
+    assert all(c for c in xy.terms.values())
+    assert xy == y * x
+    assert xy * z == x * (y * z)
 
 
 def test_mismatched_algebras_rejected():
