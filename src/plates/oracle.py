@@ -4,10 +4,12 @@ Identities between plates hold almost everywhere, not on the shared walls of
 the closed regions, so every check here happens at *generic* rational points:
 points of the simplex slice where no proper subset of coordinates sums to an
 integer.  Ranks and solves walk every generic point of a prime denominator in
-a fixed order, moving on to larger primes while the rank is short; identity
-checks draw up to ``_CHECK_POINTS`` distinct points of the plan's lattice by a
-seeded random descent of the same tree.  So runs are reproducible and every
-rank and solve returned is exact over the rationals.
+a fixed order, moving on to larger primes while the rank is short; a basis
+inverts its rows at the fitted points once, checked exactly, and each solve
+is tested against the span at every walked point.  Identity checks draw up to
+``_CHECK_POINTS`` distinct points of the plan's lattice by a seeded random
+descent of the same tree.  So runs are reproducible, and every rank and
+solve returned is exact over the rationals.
 
 Every point is a/D with integer numerators a summing to r*D, so a
 plate is evaluated there by integer comparisons against the subset-sums of a
@@ -27,7 +29,6 @@ from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .core import Plate
-from .exactnum import CyclotomicNumber
 from .linalg import Echelon, inverse
 
 Point = tuple[Fraction, ...]
@@ -327,19 +328,13 @@ def rank_report(plates: Sequence[Plate], plan: SamplePlan) -> RankReport:
     return _walk(plates, plan)[0]
 
 
-# Ranks and solves run modulo this prime, and every answer is exact before it
-# is returned.  A rank mod P is a lower bound on the rational rank, so only a
-# full rank is returned from it; a short one is recomputed by Fraction
-# elimination.  A nonzero determinant mod P proves exact invertibility, and
-# reconstructed solve coefficients are returned only after they agree at every
-# walked point, with a Fraction inverse when they do not.
+# Ranks and inverses run modulo this prime, and every answer is exact before
+# it is returned.  A rank mod P is a lower bound on the rational rank, so only
+# a full rank is returned from it; a short one is recomputed by Fraction
+# elimination.  Each basis inverts its fitted rows mod P once and keeps the
+# reconstructed inverse only after an exact integer check, falling back to a
+# Fraction inverse (``_scaled_inverse``); a solve then runs one span test.
 _P = (1 << 61) - 1  # Mersenne prime
-
-
-def _common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(L, [v * L]) for the least common denominator L of the values."""
-    scale = lcm(*(v.denominator for v in values))
-    return scale, [int(v * scale) for v in values]
 
 
 def _rational_reconstruct(c: int) -> Fraction | None:
@@ -358,7 +353,52 @@ def _rational_reconstruct(c: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
+SparseRows = list[list[tuple[int, int]]]  # integer rows of (column, entry) pairs
+
+
+def _scaled(inv: Sequence[Sequence[Fraction]]) -> tuple[int, SparseRows]:
+    """(L, L * inv) for the least common denominator L of the entries."""
+    scale = lcm(*{v.denominator for row in inv for v in row if v})
+    return scale, [
+        [(k, v.numerator * (scale // v.denominator)) for k, v in enumerate(row) if v] for row in inv
+    ]
+
+
+def _is_scaled_inverse(rows: Sequence[int], scale: int, scaled: SparseRows) -> bool:
+    """M * X == L * I in integers, where M's 0/1 rows are packed into ints:
+    row i of M * X sums the rows of X at the set bits of M's row i."""
+    for i, row in enumerate(rows):
+        product = [0] * len(rows)
+        product[i] = -scale
+        while row:
+            low = row & -row
+            for k, x in scaled[low.bit_length() - 1]:
+                product[k] += x
+            row ^= low
+        if any(product):
+            return False
+    return True
+
+
+def _scaled_inverse(rows: Sequence[int], width: int) -> tuple[int, SparseRows]:
+    """(L, X = L * M^-1) for the invertible 0/1 matrix M whose rows are packed
+    into ``rows``.  M^-1 is reconstructed entry by entry from its inverse mod
+    P and kept only when M * X = L * I holds exactly; otherwise (no inverse
+    mod P, an entry that does not reconstruct, a failed check) it is computed
+    over Q."""
+    matrix = [_unpack(row, width) for row in rows]
+    entries = [[v and _rational_reconstruct(v) for v in row] for row in inverse(matrix, _P) or ()]
+    if entries and not any(v is None for row in entries for v in row):
+        scale, scaled = _scaled(entries)
+        if _is_scaled_inverse(rows, scale, scaled):
+            return scale, scaled
+    return _scaled(inverse(matrix))  # the fitted rows are independent
+
+
 class _BasisSolver:
+    """Solves over one basis: the basis rows at the ``fit`` points of the walk
+    form an invertible matrix M, kept as X = L * M^-1 (``_scaled_inverse``)."""
+
     def __init__(self, basis: tuple[Plate, ...], plan: SamplePlan) -> None:
         dim = len(basis)
         report, self.fit, points = _walk(basis, plan, keep_points=True)
@@ -368,67 +408,34 @@ class _BasisSolver:
                 f"up to denominator {report.denominator}: the plates are a.e. dependent, or "
                 "that denominator cannot reach all their chambers"
             )
-        self.matrix = [_unpack(row, dim) for *_, row in self.fit]
-        self.mod_inverse = inverse(self.matrix, _P)
-        self.exact_inverse = None  # over Q, built on the first fallback
+        self.scale, self.inverse = _scaled_inverse([row for *_, row in self.fit], dim)
         # points may come from two primes, so targets get one flag test per D
         self.lattice_plans = [replace(plan, denominator=d) for d in sorted({v[1] for v in points})]
-        # every walked point validates each solution: the few points after the
-        # fit would not do, as in lexicographic order they lie near one corner
-        # of the simplex.  The combination's value depends only on the row.
+        # every walked point tests the span: the few points after the fit
+        # would not do, as in lexicographic order they lie near one corner of
+        # the simplex.  The combination's value depends only on the row.
         self.checks: dict[int, list[Visit]] = {}
         for visit in points:
             self.checks.setdefault(visit[3], []).append(visit)
 
-    def _solve_fast(self, rhs: list[int]) -> list[Fraction] | None:
-        if self.mod_inverse is None:
-            return None
-        coeffs = []
-        for row in self.mod_inverse:
-            acc = 0
-            for a, b in zip(row, rhs):
-                if b:
-                    acc += a * b
-            rec = _rational_reconstruct(acc % _P)
-            if rec is None:
-                return None
-            coeffs.append(rec)
-        return coeffs
-
-    def _disagreement(self, coeffs: list[Fraction], tests: dict[int, FlagTest]) -> Visit | None:
-        """The first walked point where the combination differs from the target."""
-        scale, scaled = _common_denominator(coeffs)
+    def solve(self, target: Plate) -> list[Fraction]:
+        """The unique solution of the fitted system, once the combination
+        agrees with the target at every walked point; the target is outside
+        the span when it does not."""
+        tests = {p.resolved_denominator: _flag_test(target, p) for p in self.lattice_plans}
+        rhs = [_holds(tests[d], sums) for _, d, sums, _ in self.fit]
+        scale = self.scale
+        scaled = [sum(x for k, x in row if rhs[k]) for row in self.inverse]
         terms = [(1 << j, c) for j, c in enumerate(scaled) if c]
         for row, group in self.checks.items():
             value = sum(c for bit, c in terms if row & bit)
             for visit in group:
                 if value != scale * _holds(tests[visit[1]], visit[2]):
-                    return visit
-        return None
-
-    def solve(self, target: Plate) -> list[Fraction]:
-        """The fit points are among the walked points, so coefficients that
-        agree at every walked point solve the invertible fitted system, and
-        are its unique solution."""
-        tests = {p.resolved_denominator: _flag_test(target, p) for p in self.lattice_plans}
-        rhs = [_holds(tests[d], sums) for _, d, sums, _ in self.fit]
-        coeffs = self._solve_fast(rhs)
-        if coeffs is not None and self._disagreement(coeffs, tests) is None:
-            return coeffs
-        if self.exact_inverse is None:
-            self.exact_inverse = inverse(self.matrix)
-            assert self.exact_inverse is not None, "fitted rows are independent by construction"
-        coeffs = [
-            sum((a * b for a, b in zip(row, rhs) if b), Fraction(0)) for row in self.exact_inverse
-        ]
-        witness = self._disagreement(coeffs, tests)
-        if witness is not None:
-            a, d, *_ = witness
-            raise SpanError(
-                f"target {target} not in almost-everywhere span: point "
-                f"({', '.join(str(v) for v in _point(a, d))}) disagrees"
-            )
-        return coeffs
+                    raise SpanError(
+                        f"target {target} not in almost-everywhere span: point "
+                        f"({', '.join(str(v) for v in _point(*visit[:2]))}) disagrees"
+                    )
+        return [Fraction(c, scale) for c in scaled]
 
 
 # one cached square solver per (basis, plan without its seed, which solves ignore)
@@ -479,13 +486,4 @@ def _check_points(plan: SamplePlan) -> tuple[tuple[tuple[int, ...], list[int]], 
 
 
 def _eval_combination(terms: Iterable[tuple[object, FlagTest]], sums: list[int]):
-    acc = None
-    for coeff, test in terms:
-        if not _holds(test, sums):
-            continue
-        acc = coeff if acc is None else acc + coeff
-    if acc is None:
-        return Fraction(0)
-    if isinstance(acc, (CyclotomicNumber, Fraction)):
-        return acc
-    return Fraction(acc)
+    return sum((c for c, t in terms if _holds(t, sums)), 0)

@@ -89,27 +89,6 @@ def test_qbasis_rank_over_cyclotomics(n, r):
     assert _rank(repeated, size) == size - 1
 
 
-def test_every_basis_solve_takes_the_modular_path(monkeypatch):
-    # without this a broken modular inverse would pass unseen: every solve
-    # would still come out right from the exact fallback
-    fast = oracle._BasisSolver._solve_fast
-    results = []
-
-    def recording(self, rhs):
-        results.append(fast(self, rhs))
-        return results[-1]
-
-    monkeypatch.setattr(oracle._BasisSolver, "_solve_fast", recording)
-    oracle._solver.cache_clear()
-    basis = standard_basis(3, 3)
-    plan = SamplePlan(3, 3)
-    targets = list(all_plates(3, 3))
-    for target in targets:
-        solve_in_basis(target, basis, plan)
-    assert len(results) == len(targets)
-    assert all(coeffs is not None for coeffs in results)
-
-
 def test_engine_table_drives_the_cli_and_agrees():
     parser = build_parser()
     subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -122,44 +101,63 @@ def test_engine_table_drives_the_cli_and_agrees():
             assert character(name, n, r) == want, name
 
 
-def test_exact_fallback_gives_the_same_coefficients(monkeypatch):
-    basis = standard_basis(3, 3)
-    plan = SamplePlan(3, 3)
-    targets = list(all_plates(3, 3))
+def _record_inverses(monkeypatch, change=lambda inv: inv):
+    """Route the oracle's inverses through ``change``, applied to modular ones
+    only, and return the list of moduli they were asked for."""
+    moduli = []
+
+    def recording(matrix, modulus=None):
+        moduli.append(modulus)
+        inv = inverse(matrix, modulus)
+        return inv if modulus is None else change(inv)
+
+    monkeypatch.setattr(oracle, "inverse", recording)
     oracle._solver.cache_clear()
-    fast = [solve_in_basis(t, basis, plan) for t in targets]
-    exact_inverses = []
+    return moduli
 
-    def counting_inverse(matrix, modulus=None):
-        if modulus is None:
-            exact_inverses.append(matrix)
-        return inverse(matrix, modulus)
 
-    monkeypatch.setattr(oracle._BasisSolver, "_solve_fast", lambda self, rhs: None)
-    monkeypatch.setattr(oracle, "inverse", counting_inverse)
+def _solve_all(n, r):
+    basis = standard_basis(n, r)
+    return [solve_in_basis(t, basis, SamplePlan(n, r)) for t in all_plates(n, r)]
+
+
+def test_every_basis_keeps_its_modular_inverse(monkeypatch):
+    # without this a broken modular inverse would pass unseen: every solve
+    # would still come out right from the exact inverse
+    slices = [(3, 3), (3, 4), (4, 3), (3, 5), (6, 2)]
+    moduli = _record_inverses(monkeypatch)
+    for n, r in slices:
+        _solve_all(n, r)
+    assert moduli == [P] * len(slices)
+
+
+def _plus_one(inv):
+    inv[0][0] = (inv[0][0] + 1) % P
+    return inv
+
+
+def _unreconstructible(inv):
+    inv[-1][-1] = 2**40 + 12345
+    assert oracle._rational_reconstruct(inv[-1][-1]) is None
+    return inv
+
+
+@pytest.mark.parametrize("change", [_plus_one, _unreconstructible])
+def test_a_wrong_modular_inverse_is_rejected(monkeypatch, change):
+    # a modular inverse is kept only when every entry reconstructs and the
+    # integer check M * X = L * I holds: one wrong entry must be caught and
+    # the exact inverse used
+    slices = [(3, 3), (6, 2)]
     oracle._solver.cache_clear()
-    assert [solve_in_basis(t, basis, plan) for t in targets] == fast
-    assert len(exact_inverses) == 1  # built once, by the one cached solver
+    want = [_solve_all(n, r) for n, r in slices]
+    moduli = _record_inverses(monkeypatch, change)
+    assert [_solve_all(n, r) for n, r in slices] == want
+    assert moduli == [P, None] * len(slices)  # built once per cached solver
 
 
-def test_a_wrong_modular_solution_falls_back_to_the_exact_one(monkeypatch):
-    # the walk-wide check is the only certificate of the modular path: fast
-    # coefficients off in one entry must be caught and replaced
-    basis = standard_basis(3, 3)
-    plan = SamplePlan(3, 3)
-    targets = list(all_plates(3, 3))
+def test_a_singular_modular_inverse_takes_the_exact_path(monkeypatch):
     oracle._solver.cache_clear()
-    exact = [solve_in_basis(t, basis, plan) for t in targets]
-    fast = oracle._BasisSolver._solve_fast
-    perturbed = []
-
-    def off_by_one_entry(self, rhs):
-        coeffs = fast(self, rhs)
-        coeffs[len(perturbed) % len(coeffs)] += Fraction(1, 3)
-        perturbed.append(coeffs)
-        return coeffs
-
-    monkeypatch.setattr(oracle._BasisSolver, "_solve_fast", off_by_one_entry)
-    oracle._solver.cache_clear()
-    assert [solve_in_basis(t, basis, plan) for t in targets] == exact
-    assert len(perturbed) == len(targets)
+    want = _solve_all(3, 3)
+    moduli = _record_inverses(monkeypatch, lambda inv: None)
+    assert _solve_all(3, 3) == want
+    assert moduli == [P, None]

@@ -22,6 +22,7 @@ from plates.oracle import (
     _sample_numerators,
     _subset_sums,
 )
+from test_exactnum import given
 
 
 def test_next_prime_above():
@@ -246,6 +247,20 @@ def test_oracle_expansion_at_n6_r2_reaches_the_next_prime():
     # the way rank_report does, so every plate expands under the default plan
     for p in all_plates(6, 2):
         assert oracle_expand(p) == expand(p), str(p)
+
+
+# every slice with 2 <= n <= 6, r <= 5 and a basis of at most 81 plates
+ORACLE_SLICES = [(n, r) for n in range(2, 7) for r in range(1, 6) if r ** (n - 1) <= 81]
+
+
+def random_slice_plates(st):
+    return st.sampled_from(ORACLE_SLICES).flatmap(lambda s: st.sampled_from(list(all_plates(*s))))
+
+
+@given(random_slice_plates)
+def test_oracle_expansion_equals_shuffle_expansion(p):
+    # (6, 2) is among the slices: its walk moves on from D = 7 to D = 11
+    assert oracle_expand(p) == expand(p), str(p)
 
 
 def test_solves_share_one_solver_across_seeds(monkeypatch):
