@@ -106,7 +106,7 @@ _LRU_CACHES = (
     _combinatorics._eulerian_ascents,
     _exactnum.cyclotomic_polynomial,
     _exactnum._power_table,
-    _exactnum._zeros,
+    _exactnum._zero,
     _characters._mn_value,
     _oracle._check_points,
     _oracle._solver,
@@ -117,8 +117,8 @@ _LRU_CACHES = (
 
 def clear_caches() -> None:
     """Empty every module-level cache: expansions, standard bases, partitions,
-    Eulerian numbers, cyclotomic tables, Murnaghan-Nakayama values, the
-    oracle's check points and basis solvers, and the translation algebra's
+    Eulerian numbers, cyclotomic tables and zeros, Murnaghan-Nakayama values,
+    the oracle's check points and basis solvers, and the translation algebra's
     digit columns.  Results are unchanged; only the memory and the work of
     rebuilding them move."""
     for cache in _LRU_CACHES:

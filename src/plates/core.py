@@ -10,7 +10,7 @@ between plates are asserted away from the walls, by the oracle module.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -24,24 +24,26 @@ class PlateParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Plate:
-    """Immutable plate; blocks are ascending tuples partitioning {1..n}."""
+class Plate(namedtuple("Plate", "n blocks positions")):
+    """Immutable plate; blocks are ascending tuples partitioning {1..n}.
 
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
-    positions: tuple[int, ...]
+    A plate is the tuple (n, blocks, positions), so it hashes and compares
+    in C, and it compares equal to that plain tuple.  ``Plate(...)`` sorts
+    each lump and checks the partition; pickling, copying and ``_replace``
+    rebuild through the same checks.
+    """
 
-    def __post_init__(self) -> None:
-        blocks = tuple(tuple(sorted(b)) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "positions", tuple(self.positions))
-        if len(blocks) != len(self.positions):
+    __slots__ = ()
+
+    def __new__(cls, n: int, blocks, positions) -> "Plate":
+        blocks = tuple(tuple(sorted(b)) for b in blocks)
+        positions = tuple(positions)
+        if len(blocks) != len(positions):
             raise ValueError("blocks and positions must have equal length")
         if not blocks:
             raise ValueError("a plate needs at least one lump")
-        if any(s < 1 for s in self.positions):
-            raise ValueError(f"positions must be >= 1, got {self.positions}")
+        if any(s < 1 for s in positions):
+            raise ValueError(f"positions must be >= 1, got {positions}")
         seen: set[int] = set()
         for b in blocks:
             if not b:
@@ -49,19 +51,21 @@ class Plate:
             if seen & set(b):
                 raise ValueError(f"overlapping lumps: {blocks}")
             seen |= set(b)
-        if seen != set(range(1, self.n + 1)):
-            raise ValueError(f"lumps must partition 1..{self.n}, got {blocks}")
+        if seen != set(range(1, n + 1)):
+            raise ValueError(f"lumps must partition 1..{n}, got {blocks}")
+        return tuple.__new__(cls, (n, blocks, positions))
+
+    @classmethod
+    def _make(cls, iterable) -> "Plate":
+        """The namedtuple builder behind ``_replace``, checked like ``Plate(...)``."""
+        return cls(*iterable)
 
     @classmethod
     def _trusted(cls, n: int, blocks: tuple, positions: tuple) -> "Plate":
         """Build without validation.  Only for callers whose blocks are
         ascending tuples partitioning 1..n and whose positions are a tuple of
         positive ints, by construction."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "n", n)
-        object.__setattr__(p, "blocks", blocks)
-        object.__setattr__(p, "positions", positions)
-        return p
+        return tuple.__new__(cls, (n, blocks, positions))
 
     @property
     def k(self) -> int:
@@ -259,6 +263,11 @@ def apply_permutation(sigma: Permutation, p: Plate) -> Plate:
     images = sigma.images
     return Plate._trusted(
         p.n,
-        tuple(tuple(sorted([images[e - 1] for e in b])) for b in p.blocks),
+        tuple(
+            [
+                (images[b[0] - 1],) if len(b) == 1 else tuple(sorted([images[e - 1] for e in b]))
+                for b in p.blocks
+            ]
+        ),
         p.positions,
     )

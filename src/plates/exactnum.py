@@ -151,14 +151,14 @@ class CyclotomicNumber:
     @classmethod
     def from_rational(cls, order: int, value) -> "CyclotomicNumber":
         if isinstance(value, int):
-            return _build(order, (value,) + _zeros(order)[1:], 1)
+            return _build(order, (value,) + _zero(order).numerators[1:], 1)
         if not isinstance(value, Fraction):
             value = Fraction(value)
-        return _build(order, (value.numerator,) + _zeros(order)[1:], value.denominator)
+        return _build(order, (value.numerator,) + _zero(order).numerators[1:], value.denominator)
 
     @classmethod
     def zero(cls, order: int) -> "CyclotomicNumber":
-        return _build(order, _zeros(order), 1)
+        return _zero(order)
 
     @classmethod
     def one(cls, order: int) -> "CyclotomicNumber":
@@ -293,6 +293,9 @@ class CyclotomicNumber:
     def to_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"not a rational value: {self}")
+        # the pair is in lowest terms already; Fraction(num) skips the gcd of Fraction(num, den)
+        if self.denominator == 1:
+            return Fraction(self.numerators[0])
         return Fraction(self.numerators[0], self.denominator)
 
     # -- presentation ----------------------------------------------------------
@@ -351,8 +354,9 @@ def _lowest_terms(numerators: list[int], denominator: int) -> tuple[tuple[int, .
 
 
 @lru_cache(maxsize=256)
-def _zeros(order: int) -> tuple[int, ...]:
-    return (0,) * euler_phi(order)
+def _zero(order: int) -> CyclotomicNumber:
+    """The zero of the order-``order`` field, one shared instance per order."""
+    return _build(order, (0,) * euler_phi(order), 1)
 
 
 def _coerce(order: int, value) -> CyclotomicNumber:
@@ -445,7 +449,8 @@ class Combination:
         return self.terms.items()
 
     def coefficient(self, key) -> CyclotomicNumber:
-        return self.terms.get(key, CyclotomicNumber.zero(self.r))
+        c = self.terms.get(key)
+        return _zero(self.r) if c is None else c
 
     def __bool__(self) -> bool:
         return bool(self.terms)

@@ -6,6 +6,7 @@ import operator
 
 import pytest
 
+import plates
 from plates.core import standard_basis
 from plates.exactnum import CyclotomicNumber
 from plates.expansion import PlateVector
@@ -101,3 +102,15 @@ def test_a_non_combination_operand_raises_type_error(operand):
         element * one(2, 3)
     with pytest.raises(ValueError, match="mismatch"):
         element - one(3, 2)
+
+
+@pytest.mark.parametrize("n, r", SPACES)
+def test_an_absent_coefficient_is_the_shared_zero(n, r):
+    for kind, key in ((PlateVector, standard_basis(n, r)[-1]), (TranslationElement, (1,) * (n - 1))):
+        empty = kind(n, r)
+        zero = empty.coefficient(key)
+        assert not zero and zero.order == r and zero.to_fraction() == 0
+        assert empty.coefficient(key) is zero and kind(n, r).coefficient(key) is zero
+        assert CyclotomicNumber.zero(r) is zero
+    plates.clear_caches()
+    assert PlateVector(n, r).coefficient(standard_basis(n, r)[0]) == zero

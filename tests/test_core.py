@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -206,6 +208,10 @@ def test_public_constructor_and_relabelling_still_check():
         Plate(2, ((1,), (2,)), (1, 0))
     with pytest.raises(ValueError, match="equal length"):
         Plate(2, ((1, 2),), (1, 1))
+    with pytest.raises(ValueError, match="at least one lump"):
+        Plate(0, (), ())
+    with pytest.raises(ValueError, match="empty lump"):
+        Plate(1, ((1,), ()), (1, 1))
     with pytest.raises(ValueError, match="3 letters"):
         apply_permutation(Permutation.identity(3), parse_plate("[[{1}_1 {2}_1]]"))
 
@@ -216,3 +222,32 @@ def test_standard_basis_list_is_the_callers_own():
     first.clear()
     again = standard_basis(3, 3)
     assert again == expected and again is not first
+
+
+def test_plates_are_tuple_values():
+    # a plate is the tuple (n, blocks, positions): it hashes like it, which
+    # fixes dict orders and so --json bytes, equals it, and survives pickling
+    # and deep copies as a Plate
+    for n in range(1, 5):
+        for r in range(1, 5):
+            for p in all_plates(n, r):
+                plain = (p.n, p.blocks, p.positions)
+                assert hash(p) == hash(plain) and p == plain
+                for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+                    assert type(q) is Plate and q == p and hash(q) == hash(p)
+    p = parse_plate("[[{1,2,3}_1 {4}_2]]")
+    assert repr(p) == "Plate(n=4, blocks=((1, 2, 3), (4,)), positions=(1, 2))"
+    assert Plate(n=4, blocks=[[3, 2, 1], [4]], positions=[1, 2]) == p
+
+
+def test_every_way_to_rebuild_a_plate_checks_it():
+    p = parse_plate("[[{1}_1 {2}_1]]")
+    assert p._replace(positions=(2, 1)) == parse_plate("[[{1}_2 {2}_1]]")
+    with pytest.raises(ValueError, match="partition"):
+        p._replace(n=3)
+    # unpickling and copying go through Plate(...), so a forged plate fails there
+    forged = Plate._trusted(2, ((1,),), (1,))
+    with pytest.raises(ValueError, match="partition"):
+        pickle.loads(pickle.dumps(forged))
+    with pytest.raises(ValueError, match="partition"):
+        copy.deepcopy(forged)

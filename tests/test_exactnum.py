@@ -112,6 +112,20 @@ def test_rational_embedding_and_extraction():
         zeta_pow(5, 1).to_fraction()
 
 
+def test_to_fraction_is_the_stored_pair():
+    # integers take the Fraction(int) path; other values the reduced pair
+    rng = random.Random(67)
+    for _ in range(400):
+        r = rng.choice((1, 2, 5, 6, 12))
+        den = 1 if rng.random() < 0.5 else rng.randint(2, 60)
+        value = Fraction(rng.randint(-(10**9), 10**9), den)
+        for x in (CyclotomicNumber.from_rational(r, value), CyclotomicNumber(r, [value]) * 3 - 2 * value):
+            f = x.to_fraction()
+            assert type(f) is Fraction and f == value
+            assert f == Fraction(x.numerators[0], x.denominator)
+            assert (f.numerator, f.denominator) == (x.numerators[0], x.denominator)
+
+
 def test_errors():
     with pytest.raises(OrderMismatchError, match="order mismatch"):
         zeta_pow(3, 1) + zeta_pow(4, 1)
@@ -119,6 +133,8 @@ def test_errors():
         CyclotomicNumber.zero(7).inverse()
     with pytest.raises(ValueError):
         cyclotomic_polynomial(0)
+    with pytest.raises(ValueError):
+        CyclotomicNumber.zero(0)
 
 
 def test_zero_factor_gives_canonical_zero_without_reduction(monkeypatch):

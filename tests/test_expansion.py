@@ -24,6 +24,7 @@ from plates.expansion import (
     qplate_expand,
 )
 from plates.oracle import SamplePlan, verify_identity_ae
+from test_exactnum import given
 
 
 def as_fraction_terms(vec):
@@ -245,6 +246,23 @@ def test_qplate_rotation_covariance():
         t = rng.randint(1, k - 1)
         moved = sum(p.positions[p.k - t :])
         assert qplate_expand(rotate(p, t)) == qplate_expand(p).scale(q_pow(r, moved))
+
+
+def plates_with_a_turn(st):
+    """(p, t): a plate on n in 2..4 with r in 2..5, and a rotation 0 <= t < k."""
+
+    def draw(nr):
+        plates = st.sampled_from(list(all_plates(*nr)))
+        return plates.flatmap(lambda p: st.tuples(st.just(p), st.integers(0, p.k - 1)))
+
+    return st.tuples(st.integers(2, 4), st.integers(2, 5)).flatmap(draw)
+
+
+@given(plates_with_a_turn)
+def test_qplate_rotation_covariance_property(case):
+    p, t = case
+    moved = sum(p.positions[p.k - t :])
+    assert qplate_expand(rotate(p, t)) == qplate_expand(p).scale(q_pow(p.r, moved))
 
 
 def test_qbasis_matrix_small():
