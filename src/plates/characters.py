@@ -10,7 +10,7 @@ exact multiplicity decomposition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -20,7 +20,7 @@ from .combinatorics import (
     partitions,
     permutation_with_cycle_type,
 )
-from .core import Plate, apply_permutation, standard_basis
+from .core import apply_permutation, standard_basis
 from .exactnum import CyclotomicNumber
 from .expansion import diagonal_coefficient, expand, unmerged_slots
 from .translation import diophantine_count, ta_trace
@@ -30,12 +30,12 @@ class NotACharacterError(ValueError):
     """Inner products came out non-integral or negative."""
 
 
-@dataclass(frozen=True)
-class ClassFunction:
-    """Map from cycle types (partitions of n) to exact values."""
+class ClassFunction(namedtuple("ClassFunction", "n values")):
+    """Map from cycle types (partitions of n) to exact values: ``values`` is
+    ((partition, value), ...) aligned with partitions(n).  It hashes like and
+    compares equal to the tuple (n, values)."""
 
-    n: int
-    values: tuple  # ((partition, value), ...) aligned with partitions(n)
+    __slots__ = ()
 
     @classmethod
     def from_dict(cls, n: int, table: dict) -> "ClassFunction":
@@ -71,6 +71,9 @@ class ClassFunction:
     def __mul__(self, other: "ClassFunction") -> "ClassFunction":
         return ClassFunction(self.n, tuple((lam, a * b) for (lam, a), (_, b) in self._zip(other)))
 
+    def __rmul__(self, other):
+        return NotImplemented  # not tuple repetition; use scale
+
     def scale(self, c) -> "ClassFunction":
         return ClassFunction(self.n, tuple((lam, c * v) for lam, v in self.values))
 
@@ -79,19 +82,15 @@ class ClassFunction:
 # plate module characters
 
 
-@dataclass(frozen=True)
-class ActionMatrix:
+class ActionMatrix(namedtuple("ActionMatrix", "basis entries")):
     """Matrix of a permutation on the standard basis: column j holds the
-    expansion of sigma applied to basis plate j."""
+    expansion of sigma applied to basis plate j, so entries[i][j] is the
+    coefficient of basis[i].  It compares equal to the tuple (basis, entries)."""
 
-    basis: tuple[Plate, ...]
-    entries: tuple  # entries[i][j]: coefficient of basis[i]
+    __slots__ = ()
 
     def trace(self) -> CyclotomicNumber:
-        acc = self.entries[0][0]
-        for i in range(1, len(self.basis)):
-            acc = acc + self.entries[i][i]
-        return acc
+        return sum((self.entries[i][i] for i in range(1, len(self.basis))), self.entries[0][0])
 
 
 def action_matrix(sigma: Permutation, n: int, r: int) -> ActionMatrix:
@@ -110,8 +109,7 @@ def action_matrix(sigma: Permutation, n: int, r: int) -> ActionMatrix:
         for plate, coeff in vec.items():
             col[index[plate]] = coeff
         cols.append(col)
-    entries = tuple(tuple(cols[j][i] for j in range(len(basis))) for i in range(len(basis)))
-    return ActionMatrix(tuple(basis), entries)
+    return ActionMatrix(tuple(basis), tuple(zip(*cols)))  # entries are the transpose
 
 
 def plate_trace(sigma: Permutation, n: int, r: int) -> CyclotomicNumber:

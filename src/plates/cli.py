@@ -100,9 +100,7 @@ def cmd_expand(args) -> int:
         else:
             orc = oracle_expand(plate, plan)
     result = sym if sym is not None else orc
-    agree = None
-    if method == "both":
-        agree = sym == orc
+    agree = sym == orc if method == "both" else None
     payload = {
         "command": "expand",
         "input": ("q" if is_q else "") + print_plate(plate),
@@ -230,15 +228,15 @@ def cmd_qbasis(args) -> int:
 
 
 def _checks_cyclic_sum(n: int, r: int, plan: SamplePlan):
+    full = Plate(n, (tuple(range(1, n + 1)),), (r,))
     for k in range(1, min(n, r) + 1):
         comps = enumerate_compositions(r, k)
         for blocks in enumerate_osp(n, k):
-            full = Plate(n, (tuple(range(1, n + 1)),), (r,))
             for comp in comps:
                 base = Plate(n, blocks, comp)
                 name = f"cyclic-sum {print_plate(base)}"
 
-                def check(base=base, full=full):
+                def check(base=base):
                     rotations = [(1, rotate(base, t)) for t in range(base.k)]
                     ok, witness = verify_identity_ae(full, rotations, plan)
                     return ok, None if ok else {"point": [str(v) for v in witness]}
@@ -287,11 +285,8 @@ def _checks_worpitzky(n: int, r_max: int):
 
 
 def _checks_idempotents(n: int, r: int):
-    def check():
-        ok, details = verify_partition_of_unity(n, r)
-        return ok, details  # checked_pairs and failures always reported
-
-    yield f"partition of unity n={n} r={r}", check
+    # details (checked_pairs and failures) are always reported
+    yield f"partition of unity n={n} r={r}", lambda: verify_partition_of_unity(n, r)
 
 
 def cmd_verify(args) -> int:
@@ -307,7 +302,6 @@ def cmd_verify(args) -> int:
     }
     selected = list(suites) if args.suite == "all" else [args.suite]
     results = []
-    all_ok = True
     for suite_name in selected:
         for name, check in suites[suite_name]():
             start = time.perf_counter()
@@ -321,7 +315,7 @@ def cmd_verify(args) -> int:
             if witness is not None:
                 entry["details"] = witness
             results.append(entry)
-            all_ok = all_ok and ok
+    all_ok = all(e["ok"] for e in results)
     results.sort(key=lambda e: (e["suite"], e["check"]))
     payload = {
         "command": "verify",

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache
-from typing import Iterator
 
 
 class PermutationParseError(ValueError):
@@ -16,16 +16,22 @@ class PermutationParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection on {1..n}, stored in one-line form: images[i-1] = sigma(i)."""
+class Permutation(namedtuple("Permutation", "images")):
+    """Bijection on {1..n}, stored in one-line form: images[i-1] = sigma(i).
+    It hashes like and equals the tuple (images,); rebuilding checks it."""
 
-    images: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
+    def __new__(cls, images: tuple[int, ...]) -> "Permutation":
+        images = tuple(images)
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {images}")
+        return tuple.__new__(cls, (images,))
+
+    @classmethod
+    def _make(cls, iterable) -> "Permutation":
+        return cls(*iterable)
 
     @property
     def n(self) -> int:
@@ -40,6 +46,9 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         return compose(self, other)
+
+    def __rmul__(self, other):
+        return NotImplemented  # not tuple repetition
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from fractions import Fraction
-from typing import Iterator, Sequence
 
 from .combinatorics import Permutation, enumerate_compositions, enumerate_osp
 

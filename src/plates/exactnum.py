@@ -16,10 +16,10 @@ vectors and translation-algebra elements share.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
 
 
 class OrderMismatchError(ValueError):
@@ -145,6 +145,9 @@ class CyclotomicNumber:
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("CyclotomicNumber is immutable")
+
+    def __reduce__(self):  # so pickling and copying need no __setattr__
+        return _build, (self.order, self.numerators, self.denominator)
 
     # -- constructors ------------------------------------------------------
 

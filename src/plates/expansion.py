@@ -20,9 +20,9 @@ expanding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache
-from typing import Iterator
 
 from .combinatorics import Permutation
 from .core import Plate, apply_permutation, is_standard, print_plate, rotate, standard_basis
@@ -203,13 +203,12 @@ def oracle_expand(p: Plate, plan=None) -> PlateVector:
 # q-plates
 
 
-@dataclass(frozen=True)
-class QPlate:
+class QPlate(namedtuple("QPlate", "representative expansion")):
     """Cyclic sum of a plate's rotations, weighted by powers of q = zeta^{-1}:
-    the rotation moving positions with sum s to the front carries q^{-s}."""
+    the rotation moving positions with sum s to the front carries q^{-s}.
+    It compares equal to the tuple (representative, expansion)."""
 
-    representative: Plate
-    expansion: tuple[tuple[CyclotomicNumber, Plate], ...]
+    __slots__ = ()
 
 
 def qplate(p: Plate) -> QPlate:

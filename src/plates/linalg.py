@@ -4,9 +4,9 @@ arithmetic operators and truthiness (Fraction, CyclotomicNumber)."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
 
 
 class Echelon:

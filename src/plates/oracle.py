@@ -19,14 +19,13 @@ rational points.
 
 from __future__ import annotations
 
-import hashlib
 import random
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import gcd, isqrt, lcm
-from typing import Iterable, Iterator, Sequence
 
 from .core import Plate
 from .linalg import Echelon, inverse
@@ -54,21 +53,24 @@ def next_prime_above(n: int) -> int:
 _CHECK_POINTS = 48
 
 
-@dataclass(frozen=True)
-class SamplePlan:
-    """Deterministic sampling configuration for one (n, r) slice."""
+class SamplePlan(namedtuple("SamplePlan", "n r seed denominator")):
+    """Deterministic sampling configuration for one (n, r) slice; the
+    denominator defaults to the first prime > n.  A plan hashes like and
+    equals the tuple of its fields; rebuilding checks it."""
 
-    n: int
-    r: int
-    seed: int = 0
-    denominator: int | None = None  # default: first prime > n
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.r < 1:
+    def __new__(cls, n: int, r: int, seed: int = 0, denominator: int | None = None):
+        if n < 1 or r < 1:
             raise ValueError("need n >= 1 and r >= 1")
-        d = self.resolved_denominator
-        if d <= self.n or not _is_prime(d):
+        d = denominator if denominator is not None else next_prime_above(n)
+        if d <= n or not _is_prime(d):
             raise ValueError(f"denominator must be a prime > n, got {d}")
+        return tuple.__new__(cls, (n, r, seed, denominator))
+
+    @classmethod
+    def _make(cls, iterable) -> "SamplePlan":
+        return cls(*iterable)
 
     @property
     def resolved_denominator(self) -> int:
@@ -120,6 +122,7 @@ def _compositions(n: int, total: int, d: int) -> Iterator[tuple[tuple[int, ...],
 
 def _seed_int(plan: SamplePlan) -> int:
     # process-independent seed (tuple hashing is randomized per process)
+    import hashlib  # here, as it loads OpenSSL and only identity checks derive a seed
     tag = f"plate-oracle:{plan.seed}:{plan.n}:{plan.r}:{plan.resolved_denominator}"
     return int.from_bytes(hashlib.sha256(tag.encode()).digest()[:8], "big")
 
@@ -224,11 +227,11 @@ def _row(tests: Sequence[FlagTest], sums: list[int]) -> int:
     return row
 
 
-@dataclass
-class RankReport:
-    rank: int
-    points_used: int  # generic lattice points visited
-    denominator: int  # the last prime whose lattice was walked
+class RankReport(namedtuple("RankReport", "rank points_used denominator")):
+    """Rank, generic lattice points visited, and the last prime whose lattice
+    was walked; it compares equal to the tuple of its fields."""
+
+    __slots__ = ()
 
 
 def _gf2_insert(pivots: dict[int, int], row: int) -> bool:
@@ -281,7 +284,7 @@ def _walk(
     used = replayed = 0
     d = plan.resolved_denominator
     while True:
-        lattice_plan = replace(plan, denominator=d)
+        lattice_plan = plan._replace(denominator=d)
         tests = [_flag_test(p, lattice_plan) for p in plates]
         lattice = _compositions(n, r * d, d)
         for a, sums in lattice:
@@ -346,9 +349,7 @@ def _rational_reconstruct(c: int) -> Fraction | None:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         s0, s1 = s1, s0 - q * s1
-    if s1 == 0 or abs(s1) > bound:
-        return None
-    if gcd(abs(r1), abs(s1)) != 1:
+    if s1 == 0 or abs(s1) > bound or gcd(r1, s1) != 1:
         return None
     return Fraction(r1, s1)
 
@@ -410,7 +411,7 @@ class _BasisSolver:
             )
         self.scale, self.inverse = _scaled_inverse([row for *_, row in self.fit], dim)
         # points may come from two primes, so targets get one flag test per D
-        self.lattice_plans = [replace(plan, denominator=d) for d in sorted({v[1] for v in points})]
+        self.lattice_plans = [plan._replace(denominator=d) for d in sorted({v[1] for v in points})]
         # every walked point tests the span: the few points after the fit
         # would not do, as in lexicographic order they lie near one corner of
         # the simplex.  The combination's value depends only on the row.
@@ -451,7 +452,7 @@ def solve_in_basis(target: Plate, basis: Sequence[Plate], plan: SamplePlan) -> l
         raise ValueError("basis must not be empty")
     if any(p.n != target.n or p.r != target.r for p in basis):
         raise ValueError("target and basis must share n and r")
-    return _solver(basis, replace(plan, seed=0)).solve(target)
+    return _solver(basis, plan._replace(seed=0)).solve(target)
 
 
 def _combination_terms(side, plan: SamplePlan) -> list[tuple[object, FlagTest]]:

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Sequence
 
 from .combinatorics import Permutation
 from .exactnum import Combination, CyclotomicNumber, euler_phi, q_pow

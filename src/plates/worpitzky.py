@@ -12,7 +12,7 @@ holding for r well past the range that determined the characters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .characters import (
     ClassFunction,
@@ -50,38 +50,31 @@ def derive_hypersimplex_characters(n: int) -> list[ClassFunction]:
     return derived
 
 
-@dataclass
-class WorpitzkyReport:
-    n: int
-    r_max: int
-    dims: tuple[int, ...] = ()
-    eulerian_dims: tuple[int, ...] = ()
-    hypersimplex_multiplicities: list[dict] = field(default_factory=list)
-    classical_ok: bool = True
-    residuals_ok: bool = True
-    dims_ok: bool = True
-    multiplicities_ok: bool = True
-    failures: list[str] = field(default_factory=list)
+_REPORT_FIELDS = (
+    "n r_max dims eulerian_dims hypersimplex_multiplicities "
+    "classical_ok residuals_ok dims_ok multiplicities_ok failures"
+)
+
+
+class WorpitzkyReport(namedtuple("WorpitzkyReport", _REPORT_FIELDS)):
+    """The outcome of ``verify_categorified_worpitzky``, built once at the
+    end.  It compares equal to the tuple of its fields."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "r_max": self.r_max,
+        return {  # the fields in order, with JSON-ready values where needed
+            **self._asdict(),
             "dims": list(self.dims),
             "eulerian_dims": list(self.eulerian_dims),
             "hypersimplex_multiplicities": [
                 {"-".join(map(str, mu)): m for mu, m in table.items()}
                 for table in self.hypersimplex_multiplicities
             ],
-            "classical_ok": self.classical_ok,
-            "residuals_ok": self.residuals_ok,
-            "dims_ok": self.dims_ok,
-            "multiplicities_ok": self.multiplicities_ok,
-            "failures": self.failures,
         }
 
 
@@ -91,33 +84,35 @@ def verify_categorified_worpitzky(n: int, r_max: int) -> WorpitzkyReport:
     hypersimplex characters; audit dimensions and multiplicities."""
     if n < 2 or r_max < n:
         raise ValueError("need n >= 2 and r_max >= n")
-    report = WorpitzkyReport(n=n, r_max=r_max)
     chis = derive_hypersimplex_characters(n)
-
+    failures: list[str] = []
+    classical_ok = residuals_ok = multiplicities_ok = True
     for r in range(1, r_max + 1):
         if not classical_worpitzky_check(n, r):
-            report.classical_ok = False
-            report.failures.append(f"classical identity fails at r={r}")
+            classical_ok = False
+            failures.append(f"classical identity fails at r={r}")
         syms = [sym_power_character(r - a, n) for a in range(1, n)]
         for lam in partitions(n):
             rhs = sum(sym.at(lam) * chi.at(lam) for sym, chi in zip(syms, chis))
             if gcd_formula(lam, r) != rhs:
-                report.residuals_ok = False
-                report.failures.append(f"residual at r={r}, class {lam}")
+                residuals_ok = False
+                failures.append(f"residual at r={r}, class {lam}")
 
-    report.dims = tuple(chi.identity_value() for chi in chis)
-    report.eulerian_dims = tuple(eulerian(a - 1, n - a - 1) for a in range(1, n))
-    if report.dims != report.eulerian_dims:
-        report.dims_ok = False
-        report.failures.append(
-            f"dimensions {report.dims} differ from Eulerian numbers {report.eulerian_dims}"
-        )
+    dims = tuple(chi.identity_value() for chi in chis)
+    eulerian_dims = tuple(eulerian(a - 1, n - a - 1) for a in range(1, n))
+    dims_ok = dims == eulerian_dims
+    if not dims_ok:
+        failures.append(f"dimensions {dims} differ from Eulerian numbers {eulerian_dims}")
 
+    tables: list[dict] = []
     for a, chi in enumerate(chis, start=1):
         try:
-            report.hypersimplex_multiplicities.append(multiplicities(chi))
+            tables.append(multiplicities(chi))
         except NotACharacterError as exc:
-            report.multiplicities_ok = False
-            report.failures.append(f"hypersimplex a={a}: {exc}")
-            report.hypersimplex_multiplicities.append({})
-    return report
+            multiplicities_ok = False
+            failures.append(f"hypersimplex a={a}: {exc}")
+            tables.append({})
+    return WorpitzkyReport(
+        n, r_max, dims, eulerian_dims, tables, classical_ok, residuals_ok, dims_ok,
+        multiplicities_ok, failures,
+    )

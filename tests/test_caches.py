@@ -1,5 +1,4 @@
 import sys
-from dataclasses import replace
 
 import plates
 from plates import oracle
@@ -80,7 +79,7 @@ def test_plan_caches_evict_the_oldest_plan():
     for plan in plans[1:]:
         assert oracle_expand(target, plan) == first
     assert _stats(oracle._solver) == (0, size + 3, size)
-    assert oracle_expand(target, replace(plans[3], seed=5)) == first  # now most recent
+    assert oracle_expand(target, plans[3]._replace(seed=5)) == first  # now most recent
     assert _stats(oracle._solver) == (1, size + 3, size)
     assert oracle_expand(target, plans[0]) == first  # evicts plans[4], not plans[3]
     assert oracle_expand(target, plans[3]) == first

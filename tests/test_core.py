@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from plates.characters import action_matrix, gcd_character
 from plates.combinatorics import Permutation, all_permutations, parse_permutation
 from plates.core import (
     Plate,
@@ -19,6 +20,10 @@ from plates.core import (
     rotate,
     standard_basis,
 )
+from plates.exactnum import CyclotomicNumber
+from plates.expansion import qplate
+from plates.oracle import SamplePlan, rank_report
+from plates.worpitzky import verify_categorified_worpitzky
 from test_exactnum import given
 
 
@@ -251,3 +256,69 @@ def test_every_way_to_rebuild_a_plate_checks_it():
         pickle.loads(pickle.dumps(forged))
     with pytest.raises(ValueError, match="partition"):
         copy.deepcopy(forged)
+
+
+def _records():
+    chi = gcd_character(3, 2)
+    return [
+        Permutation((2, 3, 1)),
+        SamplePlan(4, 3),
+        SamplePlan(3, 2, seed=5, denominator=7),
+        rank_report(standard_basis(2, 2), SamplePlan(2, 2)),
+        chi,
+        chi.scale(CyclotomicNumber.from_rational(2, 3)),  # cyclotomic values
+        action_matrix(Permutation((2, 1)), 2, 3),
+        qplate(parse_plate("[[{1}_1 {2}_2]]")),
+    ]
+
+
+def test_records_are_tuple_values():
+    # every record hashes like its field tuple, as the frozen dataclasses did,
+    # so cache keys and dict orders (and --json bytes) are unchanged; it equals
+    # that tuple, keeps the dataclass repr, and survives pickling and copying
+    for x in _records():
+        plain = tuple(getattr(x, f) for f in x._fields)
+        assert hash(x) == hash(plain) and x == plain
+        fields = ", ".join(f"{f}={getattr(x, f)!r}" for f in x._fields)
+        assert repr(x) == f"{type(x).__name__}({fields})"
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), x._replace()):
+            assert type(y) is type(x) and y == x and hash(y) == hash(x)
+    assert repr(SamplePlan(4, 3)) == "SamplePlan(n=4, r=3, seed=0, denominator=None)"
+    assert repr(Permutation((2, 1))) == "Permutation(images=(2, 1))"
+
+
+def test_every_way_to_rebuild_a_record_checks_it():
+    sigma, plan = Permutation((2, 1)), SamplePlan(3, 2)
+    assert sigma._replace(images=(1, 2)) == Permutation.identity(2)
+    assert Permutation([2, 1]) == sigma and hash(Permutation([2, 1])) == hash(sigma)
+    assert plan._replace(denominator=5).resolved_denominator == 5
+    with pytest.raises(ValueError, match="not a permutation"):
+        sigma._replace(images=(1, 1))
+    with pytest.raises(ValueError, match="prime > n"):
+        plan._replace(denominator=4)
+    with pytest.raises(ValueError, match=">= 1"):
+        plan._replace(r=0)
+    # unpickling and copying go through SamplePlan(...), so a forged plan fails there
+    forged = tuple.__new__(SamplePlan, (3, 2, 0, 3))
+    with pytest.raises(ValueError, match="prime > n"):
+        pickle.loads(pickle.dumps(forged))
+    with pytest.raises(ValueError, match="prime > n"):
+        copy.deepcopy(forged)
+
+
+def test_records_do_not_repeat_like_tuples():
+    # a tuple subclass with __mul__ but no __rmul__ would repeat itself
+    sigma, chi = Permutation((2, 3, 1)), gcd_character(3, 2)
+    for x in (sigma, chi):
+        with pytest.raises(TypeError):
+            2 * x
+    assert sigma * sigma == sigma.inverse()
+    assert (chi * chi).values == (((3,), 1), ((2, 1), 4), ((1, 1, 1), 16))
+
+
+def test_worpitzky_report_is_a_value():
+    report = verify_categorified_worpitzky(3, 6)
+    assert report == tuple(getattr(report, f) for f in report._fields)
+    assert report == verify_categorified_worpitzky(3, 6)
+    assert pickle.loads(pickle.dumps(report)) == report
+    assert list(report.to_json()) == list(report._fields)
