@@ -7,10 +7,10 @@ modules by four independent routes, and verifies the power-to-Eulerian
 identity at the level of characters.
 """
 
+import sys
+
 from .combinatorics import (
     Permutation,
-    compose,
-    cycle_type,
     enumerate_compositions,
     enumerate_osp,
     eulerian,
@@ -45,7 +45,6 @@ from .expansion import (
     expand,
     lumped_shuffles,
     oracle_expand,
-    plate_vector,
     qbasis_is_invertible,
     qbasis_matrix,
     qplate,
@@ -54,7 +53,6 @@ from .expansion import (
 from .characters import (
     ClassFunction,
     NotACharacterError,
-    action_matrix,
     gcd_character,
     gcd_formula,
     irreducible_dimension,
@@ -67,7 +65,6 @@ from .characters import (
 from .oracle import (
     SamplePlan,
     SpanError,
-    sample_generic,
     solve_in_basis,
     verify_identity_ae,
 )
@@ -89,29 +86,19 @@ from .worpitzky import (
     verify_categorified_worpitzky,
 )
 
-from . import characters as _characters
-from . import combinatorics as _combinatorics
-from . import core as _core
-from . import exactnum as _exactnum
-from . import oracle as _oracle
-from . import translation as _translation
-
 __version__ = "0.1.0"
 
 # captured at import, so clear_caches still reaches a cache after a tracer
-# rebinds the module name to a wrapper without cache_clear
-_LRU_CACHES = (
-    _core._standard_basis,
-    _combinatorics._partitions,
-    _combinatorics._eulerian_ascents,
-    _exactnum.cyclotomic_polynomial,
-    _exactnum._power_table,
-    _exactnum._zero,
-    _characters._mn_value,
-    _oracle._check_points,
-    _oracle._solver,
-    _translation._digit_columns,
-    expand,
+# rebinds a module name to a wrapper without cache_clear; a cache imported
+# into several modules is one object, kept once
+_LRU_CACHES = tuple(
+    {
+        id(value): value
+        for name, module in sys.modules.items()
+        if name.startswith(__name__ + ".")
+        for value in vars(module).values()
+        if hasattr(value, "cache_clear")
+    }.values()
 )
 
 

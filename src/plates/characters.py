@@ -20,9 +20,9 @@ from .combinatorics import (
     partitions,
     permutation_with_cycle_type,
 )
-from .core import apply_permutation, standard_basis
+from .core import standard_basis
 from .exactnum import CyclotomicNumber
-from .expansion import diagonal_coefficient, expand, unmerged_slots
+from .expansion import diagonal_coefficient, unmerged_slots
 from .translation import diophantine_count, ta_trace
 
 
@@ -80,36 +80,6 @@ class ClassFunction(namedtuple("ClassFunction", "n values")):
 
 # ---------------------------------------------------------------------------
 # plate module characters
-
-
-class ActionMatrix(namedtuple("ActionMatrix", "basis entries")):
-    """Matrix of a permutation on the standard basis: column j holds the
-    expansion of sigma applied to basis plate j, so entries[i][j] is the
-    coefficient of basis[i].  It compares equal to the tuple (basis, entries)."""
-
-    __slots__ = ()
-
-    def trace(self) -> CyclotomicNumber:
-        return sum((self.entries[i][i] for i in range(1, len(self.basis))), self.entries[0][0])
-
-
-def action_matrix(sigma: Permutation, n: int, r: int) -> ActionMatrix:
-    """The full matrix of sigma on the standard basis, one expand per column.
-    Characters need only its diagonal, which plate_trace reads from the
-    unmerged shuffles without expanding; the matrix serves checks that
-    multiply or conjugate action matrices, and its trace cross-checks
-    plate_trace."""
-    basis = standard_basis(n, r)
-    index = {p: i for i, p in enumerate(basis)}
-    zero = CyclotomicNumber.zero(r)
-    cols = []
-    for p in basis:
-        vec = expand(apply_permutation(sigma, p))
-        col = [zero] * len(basis)
-        for plate, coeff in vec.items():
-            col[index[plate]] = coeff
-        cols.append(col)
-    return ActionMatrix(tuple(basis), tuple(zip(*cols)))  # entries are the transpose
 
 
 def plate_trace(sigma: Permutation, n: int, r: int) -> CyclotomicNumber:

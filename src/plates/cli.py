@@ -22,8 +22,6 @@ from .characters import (
 )
 from .combinatorics import (
     PermutationParseError,
-    enumerate_compositions,
-    enumerate_osp,
     eulerian_row,
     partitions,
     parse_permutation,
@@ -94,9 +92,7 @@ def cmd_expand(args) -> int:
         if is_q:
             rotations = qplate(plate).expansion
             images = ((coeff, oracle_expand(rotated, plan)) for coeff, rotated in rotations)
-            orc = PlateVector(
-                plate.n, plate.r, ((b, a * c) for a, v in images for b, c in v.items())
-            )
+            orc = PlateVector.combine(plate.n, plate.r, images)
         else:
             orc = oracle_expand(plate, plan)
     result = sym if sym is not None else orc
@@ -229,19 +225,15 @@ def cmd_qbasis(args) -> int:
 
 def _checks_cyclic_sum(n: int, r: int, plan: SamplePlan):
     full = Plate(n, (tuple(range(1, n + 1)),), (r,))
-    for k in range(1, min(n, r) + 1):
-        comps = enumerate_compositions(r, k)
-        for blocks in enumerate_osp(n, k):
-            for comp in comps:
-                base = Plate(n, blocks, comp)
-                name = f"cyclic-sum {print_plate(base)}"
+    for base in all_plates(n, r):
+        name = f"cyclic-sum {print_plate(base)}"
 
-                def check(base=base):
-                    rotations = [(1, rotate(base, t)) for t in range(base.k)]
-                    ok, witness = verify_identity_ae(full, rotations, plan)
-                    return ok, None if ok else {"point": [str(v) for v in witness]}
+        def check(base=base):
+            rotations = [(1, rotate(base, t)) for t in range(base.k)]
+            ok, witness = verify_identity_ae(full, rotations, plan)
+            return ok, None if ok else {"point": [str(v) for v in witness]}
 
-                yield name, check
+        yield name, check
 
 
 def _checks_relations(n: int, r: int, plan: SamplePlan):

@@ -45,7 +45,10 @@ class Permutation(namedtuple("Permutation", "images")):
         return cls(tuple(range(1, n + 1)))
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        return compose(self, other)
+        """p * q applies q first, then p."""
+        if self.n != other.n:
+            raise ValueError(f"size mismatch: {self.n} vs {other.n}")
+        return Permutation(tuple(self(other(i)) for i in range(1, self.n + 1)))
 
     def __rmul__(self, other):
         return NotImplemented  # not tuple repetition
@@ -88,17 +91,6 @@ class Permutation(namedtuple("Permutation", "images")):
 
     def __str__(self) -> str:
         return self.to_cycle_string()
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """compose(p, q) applies q first, then p."""
-    if p.n != q.n:
-        raise ValueError(f"size mismatch: {p.n} vs {q.n}")
-    return Permutation(tuple(p(q(i)) for i in range(1, p.n + 1)))
-
-
-def cycle_type(p: Permutation) -> tuple[int, ...]:
-    return p.cycle_type()
 
 
 def parse_permutation(text: str, n: int | None = None) -> Permutation:
@@ -276,10 +268,3 @@ def enumerate_osp(n: int, k: int, one_first: bool = False) -> list[tuple[tuple[i
     out = list(build((1,), tuple(range(2, n + 1)), k) if one_first else build((), tuple(range(1, n + 1)), k))
     out.sort()
     return out
-
-
-def ordered_bell(n: int) -> int:
-    """Number of ordered set partitions of an n-set, by direct recursion."""
-    if n == 0:
-        return 1
-    return sum(math.comb(n, i) * ordered_bell(n - i) for i in range(1, n + 1))

@@ -256,19 +256,6 @@ class CyclotomicNumber:
     def __rtruediv__(self, other):
         return _coerce(self.order, other) * self.inverse()
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        base = self.inverse() if exponent < 0 else self
-        e = abs(exponent)
-        acc = CyclotomicNumber.one(self.order)
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
     # -- predicates ----------------------------------------------------------
 
     def __bool__(self) -> bool:

@@ -46,12 +46,14 @@ class PlateVector(Combination):
             raise ValueError(f"term {plate} is not a standard-basis plate")
         return plate
 
+    @classmethod
+    def combine(cls, n: int, r: int, pairs) -> "PlateVector":
+        """sum(a * v) over the (scalar, vector) pairs."""
+        return cls(n, r, ((b, a * c) for a, v in pairs for b, c in v.items()))
+
     def apply_permutation(self, sigma: Permutation) -> "PlateVector":
         images = ((coeff, expand(apply_permutation(sigma, p))) for p, coeff in self.terms.items())
-        return PlateVector(self.n, self.r, ((b, a * c) for a, v in images for b, c in v.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return PlateVector.combine(self.n, self.r, images)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -72,11 +74,6 @@ class PlateVector(Combination):
                 )
             ],
         }
-
-
-def plate_vector(plate: Plate, coeff=1) -> PlateVector:
-    """Single-term vector; the plate must be standard."""
-    return PlateVector(plate.n, plate.r, {plate: coeff})
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +220,7 @@ def qplate(p: Plate) -> QPlate:
 def qplate_expand(p: Plate) -> PlateVector:
     """Push every rotation of the q-plate through the standard expansion."""
     images = ((coeff, expand(rotated)) for coeff, rotated in qplate(p).expansion)
-    return PlateVector(p.n, p.r, ((b, a * c) for a, v in images for b, c in v.items()))
+    return PlateVector.combine(p.n, p.r, images)
 
 
 def qbasis_matrix(n: int, r: int) -> tuple[list[list[CyclotomicNumber]], list[Plate]]:

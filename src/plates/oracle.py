@@ -19,7 +19,6 @@ rational points.
 
 from __future__ import annotations
 
-import random
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
@@ -30,7 +29,6 @@ from math import gcd, isqrt, lcm
 from .core import Plate
 from .linalg import Echelon, inverse
 
-Point = tuple[Fraction, ...]
 FlagTest = tuple[tuple[int, int], ...]
 
 
@@ -136,6 +134,7 @@ def _sample_numerators(plan: SamplePlan, count: int) -> list[tuple[int, ...]]:
     drawn leaf leaves its parent, as does a prefix with no undrawn point left.
     (1, ..., 1, rD - n + 1) is generic, so no lattice is empty.
     """
+    import random  # here, as only identity checks draw points
     n, d = plan.n, plan.resolved_denominator
     total = plan.r * d
     rng = random.Random(_seed_int(plan))
@@ -163,19 +162,8 @@ def _sample_numerators(plan: SamplePlan, count: int) -> list[tuple[int, ...]]:
     return drawn
 
 
-def _point(numerators: Sequence[int], d: int) -> Point:
+def _point(numerators: Sequence[int], d: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(a, d) for a in numerators)
-
-
-def sample_generic(plan: SamplePlan, count: int) -> list[Point]:
-    """Up to ``count`` distinct generic points on {x >= 0, sum(x) = r} with
-    denominator D, fewer only when the lattice has fewer.
-
-    The same plan yields the same list; shorter requests are prefixes of
-    longer ones (``_sample_numerators``).
-    """
-    d = plan.resolved_denominator
-    return [_point(a, d) for a in _sample_numerators(plan, count)]
 
 
 # A plate never holds when its total differs from the plan's: sums[0] is 0.

@@ -12,7 +12,6 @@ counting of character values.
 from __future__ import annotations
 
 import itertools
-import random
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from math import lcm
@@ -346,6 +345,7 @@ def verify_partition_of_unity(n: int, r: int):
 
     pairs = [(a, b) for a in labels for b in labels if a != b]
     if r**n > _EXHAUSTIVE_CAP:
+        import random  # here, as only this sampled branch draws pairs
         rng = random.Random(2718281828 + n * 31 + r)
         pairs = rng.sample(pairs, min(_SAMPLE_PAIRS, len(pairs)))
         checked = "sampled"

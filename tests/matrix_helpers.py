@@ -1,8 +1,44 @@
-"""Dense matrix inverse and product over any field, used by the tests to
-check action matrices and q-basis conjugation; the package itself needs
-neither."""
+"""Dense action matrices, and matrix inverse and product over any field,
+used by the tests to check the permutation action and q-basis conjugation;
+the package itself needs none of them (characters read only the diagonal,
+through ``characters.plate_trace``)."""
 
 from __future__ import annotations
+
+from collections import namedtuple
+
+from plates.combinatorics import Permutation
+from plates.core import apply_permutation, standard_basis
+from plates.exactnum import CyclotomicNumber
+from plates.expansion import expand
+
+
+class ActionMatrix(namedtuple("ActionMatrix", "basis entries")):
+    """Matrix of a permutation on the standard basis: column j holds the
+    expansion of sigma applied to basis plate j, so entries[i][j] is the
+    coefficient of basis[i].  It compares equal to the tuple (basis, entries)."""
+
+    __slots__ = ()
+
+    def trace(self) -> CyclotomicNumber:
+        return sum((self.entries[i][i] for i in range(1, len(self.basis))), self.entries[0][0])
+
+
+def action_matrix(sigma: Permutation, n: int, r: int) -> ActionMatrix:
+    """The full matrix of sigma on the standard basis, one expand per column:
+    for checks that multiply or conjugate action matrices, and whose trace
+    cross-checks ``plate_trace``."""
+    basis = standard_basis(n, r)
+    index = {p: i for i, p in enumerate(basis)}
+    zero = CyclotomicNumber.zero(r)
+    cols = []
+    for p in basis:
+        vec = expand(apply_permutation(sigma, p))
+        col = [zero] * len(basis)
+        for plate, coeff in vec.items():
+            col[index[plate]] = coeff
+        cols.append(col)
+    return ActionMatrix(tuple(basis), tuple(zip(*cols)))  # entries are the transpose
 
 
 def invert(matrix: list[list], zero, one) -> list[list] | None:

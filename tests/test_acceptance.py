@@ -37,7 +37,7 @@ from plates.expansion import (
     qbasis_matrix,
     qplate_expand,
 )
-from matrix_helpers import invert, mat_mul
+from matrix_helpers import action_matrix, invert, mat_mul
 from plates.oracle import SamplePlan, rank_report, verify_identity_ae
 from plates.translation import (
     diophantine_count,
@@ -228,8 +228,6 @@ def test_criterion_12_qbasis():
                 q_pow(r, moved)
             )
         # trace invariance under q-basis conjugation
-        from plates.characters import action_matrix
-
         for n in range(1, 4):
             for r in range(1, 4):
                 q_rows, _ = qbasis_matrix(n, r)

@@ -13,7 +13,7 @@ import pytest
 
 import plates
 from plates.cli import main
-from plates.combinatorics import all_permutations, cycle_type
+from plates.combinatorics import all_permutations
 
 
 def _load_workloads():
@@ -60,6 +60,6 @@ def test_session_trace_reads_coefficients_as_fractions():
             plates.expand(plates.apply_permutation(sigma, p)).coefficient(p).to_fraction()
             for p in basis
         )
-        assert trace == W.closed_form(cycle_type(sigma), r)
+        assert trace == W.closed_form(sigma.cycle_type(), r)
     missing = plates.expand(basis[0]).coefficient(basis[-1])
     assert missing.to_fraction() == 0

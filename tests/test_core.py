@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from plates.characters import action_matrix, gcd_character
+from plates.characters import gcd_character
 from plates.combinatorics import Permutation, all_permutations, parse_permutation
 from plates.core import (
     Plate,
@@ -24,6 +24,7 @@ from plates.exactnum import CyclotomicNumber
 from plates.expansion import qplate
 from plates.oracle import SamplePlan, rank_report
 from plates.worpitzky import verify_categorified_worpitzky
+from matrix_helpers import action_matrix
 from test_exactnum import given
 
 

@@ -17,8 +17,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 # import-time machinery the package does without: dataclasses pulls in
-# inspect (and ast, dis, tokenize), and hashlib loads OpenSSL through _hashlib
-NOT_LOADED = ("dataclasses", "inspect", "typing", "hashlib", "_hashlib")
+# inspect (and ast, dis, tokenize), hashlib loads OpenSSL through _hashlib,
+# and random loads bisect and a SHA-512 module that only sampled checks use
+NOT_LOADED = ("dataclasses", "inspect", "typing", "hashlib", "_hashlib", "random")
 
 
 def _tracer_targets():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -12,7 +13,6 @@ from plates.oracle import (
     SpanError,
     next_prime_above,
     rank_report,
-    sample_generic,
     solve_in_basis,
     verify_identity_ae,
     _compositions,
@@ -39,6 +39,12 @@ def test_plan_validation():
     assert SamplePlan(4, 2).resolved_denominator == 5
 
 
+def _points(plan, count):
+    """The first ``count`` sampled points a/D, as Fractions."""
+    d = plan.resolved_denominator
+    return [tuple(Fraction(a, d) for a in nums) for nums in _sample_numerators(plan, count)]
+
+
 def _assert_generic_on_slice(points, r):
     for x in points:
         assert sum(x) == r
@@ -51,25 +57,25 @@ def _assert_generic_on_slice(points, r):
 
 
 def test_sampled_points_are_generic_and_on_slice():
-    _assert_generic_on_slice(sample_generic(SamplePlan(4, 3), 40), 3)
+    _assert_generic_on_slice(_points(SamplePlan(4, 3), 40), 3)
 
 
 @pytest.mark.parametrize("n", [9, 10])
 def test_sampling_at_large_n_draws_distinct_generic_points(n):
     # the default D = 11 has few generic points among all compositions, so a
     # rejection sampler stalled at n = 9 and found none at n = 10
-    points = sample_generic(SamplePlan(n, 3), 48)
+    points = _points(SamplePlan(n, 3), 48)
     assert len(points) == len(set(points)) == 48
     _assert_generic_on_slice(points, 3)
 
 
 def test_sampling_is_deterministic_with_prefix_property():
     plan = SamplePlan(3, 2, seed=5)
-    first = sample_generic(plan, 6)
-    assert first == sample_generic(plan, 6)
-    assert first == sample_generic(plan, 12)[:6]
+    first = _points(plan, 6)
+    assert first == _points(plan, 6)
+    assert first == _points(plan, 12)[:6]
     # a different seed gives different points
-    assert first != sample_generic(SamplePlan(3, 2, seed=6), 6)
+    assert first != _points(SamplePlan(3, 2, seed=6), 6)
 
 
 def test_rank_examples():
@@ -85,7 +91,7 @@ def test_integer_flag_test_matches_evaluate():
     for n, r in ((3, 3), (4, 3), (5, 2)):
         plan = SamplePlan(n, r, seed=3)
         numerators = _sample_numerators(plan, 20)
-        points = sample_generic(plan, 20)
+        points = _points(plan, 20)
         # plates of other totals vanish at every point of the plan
         for other in (r - 1, r, r + 1):
             for p in all_plates(n, other):
@@ -304,7 +310,7 @@ def test_coefficients_fitted_on_half_predict_other_half():
     coeffs = solve_in_basis(target, basis, plan)
     from plates.core import evaluate
 
-    points = sample_generic(plan, 60)
+    points = _points(plan, 60)
     for x in points[30:]:
         assert sum(c * evaluate(b, x) for c, b in zip(coeffs, basis)) == evaluate(target, x)
 
