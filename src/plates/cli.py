@@ -4,6 +4,11 @@ Exit codes: 0 success, 1 verification failure (witness in the JSON, or an
 error on stderr when the oracle cannot fit), 2 usage errors.  With
 --json the stdout payload is deterministic for fixed flags and seed (per-check
 timings go to stderr, never into the JSON).
+
+``COMMANDS`` is the whole interface: each command's handler, help text and
+argument specs.  A handler returns ``(payload, lines, ok)`` and never prints;
+``main`` alone prints the payload (``--json``) or the lines, and maps the
+result to the exit code.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from .characters import (
     multiplicities,
 )
 from .combinatorics import (
-    PermutationParseError,
     eulerian_row,
     partitions,
     parse_permutation,
@@ -29,7 +33,6 @@ from .combinatorics import (
 )
 from .core import (
     Plate,
-    PlateParseError,
     all_plates,
     apply_permutation,
     parse_plate,
@@ -57,14 +60,6 @@ def _partition_key(lam) -> str:
     return "-".join(str(part) for part in lam)
 
 
-def _emit(args, payload: dict, human_lines) -> None:
-    if args.json:
-        print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True))
-    else:
-        for line in human_lines:
-            print(line)
-
-
 def _plan(args, n: int, r: int) -> SamplePlan:
     return SamplePlan(n=n, r=r, seed=args.seed, denominator=args.denominator)
 
@@ -78,10 +73,10 @@ def _parse_plate_arg(text: str, n=None) -> tuple[Plate, bool]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (payload, lines, ok)
 
 
-def cmd_expand(args) -> int:
+def cmd_expand(args):
     plate, is_q = _parse_plate_arg(args.plate, n=args.n)
     method = args.method
     sym = orc = None
@@ -96,115 +91,91 @@ def cmd_expand(args) -> int:
         else:
             orc = oracle_expand(plate, plan)
     result = sym if sym is not None else orc
-    agree = sym == orc if method == "both" else None
     payload = {
-        "command": "expand",
         "input": ("q" if is_q else "") + print_plate(plate),
         "method": method,
         "expansion": result.to_json(),
     }
     lines = [f"{payload['input']} = {result}"]
-    if agree is not None:
-        payload["engines_agree"] = agree
-        lines.append(f"engines agree: {agree}")
-    _emit(args, payload, lines)
-    return 0 if agree in (None, True) else 1
+    if method == "both":
+        payload["engines_agree"] = sym == orc
+        lines.append(f"engines agree: {payload['engines_agree']}")
+    return payload, lines, payload.get("engines_agree", True)
 
 
-def cmd_act(args) -> int:
+def cmd_act(args):
     plate, is_q = _parse_plate_arg(args.plate, n=args.n)
     sigma = parse_permutation(args.perm, n=plate.n)
-    if is_q:
-        result = qplate_expand(plate).apply_permutation(sigma)
-    else:
-        result = expand(apply_permutation(sigma, plate))
+    result = (qplate_expand if is_q else expand)(apply_permutation(sigma, plate))
     payload = {
-        "command": "act",
         "perm": sigma.to_cycle_string(),
         "input": ("q" if is_q else "") + print_plate(plate),
         "result": result.to_json(),
     }
-    _emit(args, payload, [f"{sigma} . {payload['input']} = {result}"])
-    return 0
+    return payload, [f"{sigma} . {payload['input']} = {result}"], True
 
 
-def cmd_character(args) -> int:
+def cmd_character(args):
     chi = character(args.engine, args.n, args.r)
     values = {_partition_key(lam): int(v) for lam, v in chi.values}
-    payload = {
-        "command": "character",
-        "engine": args.engine,
-        "n": args.n,
-        "r": args.r,
-        "values": values,
-    }
+    payload = {"engine": args.engine, "n": args.n, "r": args.r, "values": values}
     lines = [f"character of the plate module, n={args.n}, r={args.r} ({args.engine})"]
     lines += [f"  {key:>12}  {val}" for key, val in values.items()]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, True
 
 
-def cmd_multiplicities(args) -> int:
-    chi = character(args.engine, args.n, args.r)
-    table = multiplicities(chi)
+def cmd_multiplicities(args):
+    table = multiplicities(character(args.engine, args.n, args.r))
+    audit = sum(m * irreducible_dimension(mu) for mu, m in table.items()) == args.r ** (args.n - 1)
     payload = {
-        "command": "multiplicities",
         "engine": args.engine,
         "n": args.n,
         "r": args.r,
         "multiplicities": {_partition_key(mu): m for mu, m in table.items()},
-        "dimension_audit": sum(m * irreducible_dimension(mu) for mu, m in table.items())
-        == args.r ** (args.n - 1),
+        "dimension_audit": audit,
     }
     lines = [f"irreducible multiplicities, n={args.n}, r={args.r}"]
     lines += [f"  {_partition_key(mu):>12}  {m}" for mu, m in table.items()]
-    lines.append(f"dimension audit: {payload['dimension_audit']}")
-    _emit(args, payload, lines)
-    return 0 if payload["dimension_audit"] else 1
+    lines.append(f"dimension audit: {audit}")
+    return payload, lines, audit
 
 
-def cmd_eulerian(args) -> int:
+def cmd_eulerian(args):
+    if args.rows < 0:
+        raise ValueError(f"need rows >= 0, got rows={args.rows}")
     rows = [eulerian_row(m) for m in range(1, args.rows + 1)]
-    payload = {"command": "eulerian", "rows": rows}
-    _emit(args, payload, [" ".join(str(v) for v in row) for row in rows])
-    return 0
+    return {"rows": rows}, [" ".join(str(v) for v in row) for row in rows], True
 
 
-def cmd_dims(args) -> int:
+def cmd_dims(args):
     basis = standard_basis(args.n, args.r)
-    plan = _plan(args, args.n, args.r)
-    report = rank_report(basis, plan)
+    report = rank_report(basis, _plan(args, args.n, args.r))
     expected = args.r ** (args.n - 1)
+    match = len(basis) == report.rank == expected
     payload = {
-        "command": "dims",
         "n": args.n,
         "r": args.r,
         "standard_count": len(basis),
         "rank": report.rank,
         "points_used": report.points_used,
         "expected": expected,
-        "match": len(basis) == report.rank == expected,
+        "match": match,
         "denominator": report.denominator,
     }
-    _emit(
-        args,
-        payload,
-        [
-            f"standard basis size: {len(basis)}",
-            f"oracle rank: {report.rank} (points used: {report.points_used}, "
-            f"denominator: {report.denominator})",
-            f"expected r^(n-1): {expected}",
-            f"match: {payload['match']}",
-        ],
-    )
-    return 0 if payload["match"] else 1
+    lines = [
+        f"standard basis size: {len(basis)}",
+        f"oracle rank: {report.rank} (points used: {report.points_used}, "
+        f"denominator: {report.denominator})",
+        f"expected r^(n-1): {expected}",
+        f"match: {match}",
+    ]
+    return payload, lines, match
 
 
-def cmd_qbasis(args) -> int:
+def cmd_qbasis(args):
     rows, basis = qbasis_matrix(args.n, args.r)
     invertible = qbasis_is_invertible(rows)
     payload = {
-        "command": "qbasis",
         "n": args.n,
         "r": args.r,
         "size": len(basis),
@@ -215,102 +186,82 @@ def cmd_qbasis(args) -> int:
     if len(basis) <= 12:
         lines += ["  [" + ", ".join(str(c) for c in row) + "]" for row in rows]
     lines.append(f"invertible: {invertible}")
-    _emit(args, payload, lines)
-    return 0 if invertible else 1
+    return payload, lines, invertible
 
 
 # ---------------------------------------------------------------------------
-# verification suites
+# verification suites: generators that run each check as they yield
+# (name, ok, details), with details None when the check passes
 
 
-def _checks_cyclic_sum(n: int, r: int, plan: SamplePlan):
+def _suite_cyclic_sum(n: int, r: int, r_max: int, plan: SamplePlan):
     full = Plate(n, (tuple(range(1, n + 1)),), (r,))
     for base in all_plates(n, r):
-        name = f"cyclic-sum {print_plate(base)}"
-
-        def check(base=base):
-            rotations = [(1, rotate(base, t)) for t in range(base.k)]
-            ok, witness = verify_identity_ae(full, rotations, plan)
-            return ok, None if ok else {"point": [str(v) for v in witness]}
-
-        yield name, check
+        rotations = [(1, rotate(base, t)) for t in range(base.k)]
+        ok, witness = verify_identity_ae(full, rotations, plan)
+        details = None if ok else {"point": [str(v) for v in witness]}
+        yield f"cyclic-sum {print_plate(base)}", ok, details
 
 
-def _checks_relations(n: int, r: int, plan: SamplePlan):
+def _suite_relations(n: int, r: int, r_max: int, plan: SamplePlan):
     for plate in all_plates(n, r):
-        name = f"expansion {print_plate(plate)}"
-
-        def check(plate=plate):
-            sym = expand(plate)
-            orc = oracle_expand(plate, plan)
-            ok = sym == orc
-            return ok, None if ok else {"shuffle": str(sym), "oracle": str(orc)}
-
-        yield name, check
+        sym, orc = expand(plate), oracle_expand(plate, plan)
+        details = None if sym == orc else {"shuffle": str(sym), "oracle": str(orc)}
+        yield f"expansion {print_plate(plate)}", details is None, details
 
 
-def _checks_characters(n: int, r: int):
-    for lam in partitions(n):
-        name = f"character class {_partition_key(lam)}"
-
-        def check(lam=lam):
-            values = {engine: value(lam, r) for engine, value in ENGINES.items()}
-            values["fixed-labels"] = fixed_label_count(permutation_with_cycle_type(lam), n, r)
-            ok = len(set(values.values())) == 1
-            return ok, None if ok else {k: str(v) for k, v in values.items()}
-
-        yield name, check
+def _suite_worpitzky(n: int, r: int, r_max: int, plan: SamplePlan):
+    bad = [s for s in range(1, r_max + 1) if not classical_worpitzky_check(n, s)]
+    yield f"classical identity r<={r_max}", not bad, {"failing_r": bad} if bad else None
+    report = verify_categorified_worpitzky(n, r_max)
+    details = None if report.ok else {"failures": report.failures}
+    yield f"module identity r<={r_max}", report.ok, details
 
 
-def _checks_worpitzky(n: int, r_max: int):
-    def classical():
-        bad = [r for r in range(1, r_max + 1) if not classical_worpitzky_check(n, r)]
-        return not bad, None if not bad else {"failing_r": bad}
-
-    yield f"classical identity r<={r_max}", classical
-
-    def categorified():
-        report = verify_categorified_worpitzky(n, r_max)
-        return report.ok, None if report.ok else {"failures": report.failures}
-
-    yield f"module identity r<={r_max}", categorified
-
-
-def _checks_idempotents(n: int, r: int):
+def _suite_idempotents(n: int, r: int, r_max: int, plan: SamplePlan):
     # details (checked_pairs and failures) are always reported
-    yield f"partition of unity n={n} r={r}", lambda: verify_partition_of_unity(n, r)
+    yield f"partition of unity n={n} r={r}", *verify_partition_of_unity(n, r)
 
 
-def cmd_verify(args) -> int:
+def _suite_characters(n: int, r: int, r_max: int, plan: SamplePlan):
+    for lam in partitions(n):
+        values = {engine: value(lam, r) for engine, value in ENGINES.items()}
+        values["fixed-labels"] = fixed_label_count(permutation_with_cycle_type(lam), n, r)
+        details = None if len(set(values.values())) == 1 else {k: str(v) for k, v in values.items()}
+        yield f"character class {_partition_key(lam)}", details is None, details
+
+
+SUITES = {
+    "cyclic-sum": _suite_cyclic_sum,
+    "relations": _suite_relations,
+    "worpitzky": _suite_worpitzky,
+    "idempotents": _suite_idempotents,
+    "characters": _suite_characters,
+}
+
+
+def cmd_verify(args):
     n, r = args.n, args.r
     r_max = args.rmax if args.rmax is not None else max(2 * n, r)
     plan = _plan(args, n, r)
-    suites = {
-        "cyclic-sum": lambda: _checks_cyclic_sum(n, r, plan),
-        "relations": lambda: _checks_relations(n, r, plan),
-        "worpitzky": lambda: _checks_worpitzky(n, r_max),
-        "idempotents": lambda: _checks_idempotents(n, r),
-        "characters": lambda: _checks_characters(n, r),
-    }
-    selected = list(suites) if args.suite == "all" else [args.suite]
+    selected = list(SUITES) if args.suite == "all" else [args.suite]
+    if "worpitzky" in selected and (n < 2 or r_max < n):
+        raise ValueError("need n >= 2 and r_max >= n")
     results = []
     for suite_name in selected:
-        for name, check in suites[suite_name]():
-            start = time.perf_counter()
-            ok, witness = check()
+        start = time.perf_counter()
+        for name, ok, details in SUITES[suite_name](n, r, r_max, plan):
             elapsed = time.perf_counter() - start
-            print(
-                f"[{suite_name}] {'ok  ' if ok else 'FAIL'} {name} ({elapsed:.3f}s)",
-                file=sys.stderr,
-            )
+            status = "ok  " if ok else "FAIL"
+            print(f"[{suite_name}] {status} {name} ({elapsed:.3f}s)", file=sys.stderr)
             entry = {"suite": suite_name, "check": name, "ok": ok}
-            if witness is not None:
-                entry["details"] = witness
+            if details is not None:
+                entry["details"] = details
             results.append(entry)
+            start = time.perf_counter()
     all_ok = all(e["ok"] for e in results)
     results.sort(key=lambda e: (e["suite"], e["check"]))
     payload = {
-        "command": "verify",
         "suite": args.suite,
         "n": n,
         "r": r,
@@ -319,34 +270,83 @@ def cmd_verify(args) -> int:
         "checks": results,
         "ok": all_ok,
     }
-    lines = [
-        f"{'ok  ' if e['ok'] else 'FAIL'} [{e['suite']}] {e['check']}" for e in results
-    ]
+    lines = [f"{'ok  ' if e['ok'] else 'FAIL'} [{e['suite']}] {e['check']}" for e in results]
     lines.append(f"verify --suite {args.suite}: {'PASS' if all_ok else 'FAIL'}")
-    _emit(args, payload, lines)
-    return 0 if all_ok else 1
+    return payload, lines, all_ok
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the command table and the parser built from it
 
-
-def _add_sampling(sub) -> None:
-    sub.add_argument(
+_NR = (("--n", {"type": int, "required": True}), ("--r", {"type": int, "required": True}))
+_ENGINE = ("--engine", {"choices": tuple(ENGINES), "default": "formula"})
+_SAMPLING = (
+    (
         "--seed",
-        type=int,
-        default=0,
-        help="seed of the points that identity checks sample (default 0); no effect "
-        "on dims, expand or the relations suite, which walk the lattice of points",
-    )
-    sub.add_argument(
+        {
+            "type": int,
+            "default": 0,
+            "help": "seed of the points that identity checks sample (default 0); no effect "
+            "on dims, expand or the relations suite, which walk the lattice of points",
+        },
+    ),
+    (
         "--denominator",
-        type=int,
-        default=None,
-        help="prime denominator of the oracle's points (default: first prime > n; "
-        "unless it is given, ranks and solves move on to larger primes while the "
-        "rank is short)",
-    )
+        {
+            "type": int,
+            "default": None,
+            "help": "prime denominator of the oracle's points (default: first prime > n; "
+            "unless it is given, ranks and solves move on to larger primes while the "
+            "rank is short)",
+        },
+    ),
+)
+
+COMMANDS = {
+    "expand": (
+        cmd_expand,
+        "standard-basis expansion of a plate or q-plate",
+        (
+            ("--plate", {"required": True, "help": "plate notation, q[[...]] for q-plates"}),
+            ("--n", {"type": int, "default": None, "help": "ambient size (default: inferred)"}),
+            ("--method", {"choices": ("shuffle", "oracle", "both"), "default": "both"}),
+            *_SAMPLING,
+        ),
+    ),
+    "act": (
+        cmd_act,
+        "apply a permutation to a plate and expand",
+        (
+            ("--perm", {"required": True, "help": "permutation, e.g. '(1 2)' or '[2,1]'"}),
+            ("--plate", {"required": True}),
+            ("--n", {"type": int, "default": None}),
+        ),
+    ),
+    "character": (cmd_character, "class-function table of the plate module", (*_NR, _ENGINE)),
+    "multiplicities": (
+        cmd_multiplicities,
+        "irreducible decomposition of the plate module",
+        (*_NR, _ENGINE),
+    ),
+    "eulerian": (
+        cmd_eulerian,
+        "rows of the Eulerian triangle",
+        (("--rows", {"type": int, "required": True}),),
+    ),
+    "dims": (cmd_dims, "standard-basis count and oracle rank", (*_NR, *_SAMPLING)),
+    "qbasis": (cmd_qbasis, "q-basis change-of-basis matrix", _NR),
+    "verify": (
+        cmd_verify,
+        "run a verification suite",
+        (
+            ("--suite", {"required": True, "choices": (*SUITES, "all")}),
+            ("--n", {"type": int, "required": True}),
+            ("--r", {"type": int, "default": 2, "help": "slice parameter (default 2)"}),
+            ("--rmax", {"type": int, "help": "identity range (default max(2n, r))"}),
+            *_SAMPLING,
+        ),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,67 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact engine for simplicial plate modules.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("expand", help="standard-basis expansion of a plate or q-plate")
-    p.add_argument("--plate", required=True, help="plate notation, q[[...]] for q-plates")
-    p.add_argument("--n", type=int, default=None, help="ambient size (default: inferred)")
-    p.add_argument("--method", choices=("shuffle", "oracle", "both"), default="both")
-    _add_sampling(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_expand)
-
-    p = subs.add_parser("act", help="apply a permutation to a plate and expand")
-    p.add_argument("--perm", required=True, help="permutation, e.g. '(1 2)' or '[2,1]'")
-    p.add_argument("--plate", required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_act)
-
-    p = subs.add_parser("character", help="class-function table of the plate module")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--engine", choices=tuple(ENGINES), default="formula")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_character)
-
-    p = subs.add_parser("multiplicities", help="irreducible decomposition of the plate module")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--engine", choices=tuple(ENGINES), default="formula")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_multiplicities)
-
-    p = subs.add_parser("eulerian", help="rows of the Eulerian triangle")
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_eulerian)
-
-    p = subs.add_parser("dims", help="standard-basis count and oracle rank")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    _add_sampling(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_dims)
-
-    p = subs.add_parser("qbasis", help="q-basis change-of-basis matrix")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_qbasis)
-
-    p = subs.add_parser("verify", help="run a verification suite")
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=("cyclic-sum", "relations", "worpitzky", "idempotents", "characters", "all"),
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, default=2, help="slice parameter (default 2)")
-    p.add_argument("--rmax", type=int, default=None, help="identity range (default max(2n, r))")
-    _add_sampling(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
-
+    for name, (handler, help_text, specs) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        for flag, spec in (*specs, ("--json", {"action": "store_true"})):
+            sub.add_argument(flag, **spec)
+        sub.set_defaults(func=handler)
     return parser
 
 
@@ -423,13 +367,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload, lines, ok = args.func(args)
     except (NotACharacterError, SpanError) as exc:  # failures, not usage errors
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (PlateParseError, PermutationParseError, ValueError) as exc:
+    except ValueError as exc:  # bad plates, permutations and sizes
         parser.exit(2, f"error: {exc}\n")
-        return 2
+    if args.json:
+        print(json.dumps({"schema": SCHEMA, "command": args.command, **payload}, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

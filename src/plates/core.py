@@ -9,7 +9,6 @@ between plates are asserted away from the walls, by the oracle module.
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
@@ -205,18 +204,17 @@ def lumpings(p: Plate) -> list[Plate]:
     """All plates obtained by merging maximal runs of consecutive lumps
     (positions add); includes p itself, 2^{k-1} in total."""
     out = []
-    k = p.k
     # a lumping is a composition of k: the run lengths of merged lumps
-    for cuts in itertools.chain.from_iterable(
-        itertools.combinations(range(1, k), m) for m in range(k)
-    ):
-        bounds = (0,) + cuts + (k,)
-        blocks = []
-        positions = []
-        for a, b in zip(bounds, bounds[1:]):
-            blocks.append(tuple(sorted(e for blk in p.blocks[a:b] for e in blk)))
-            positions.append(sum(p.positions[a:b]))
-        out.append(Plate._trusted(p.n, tuple(blocks), tuple(positions)))
+    for m in range(1, p.k + 1):
+        for runs in enumerate_compositions(p.k, m):
+            blocks = []
+            positions = []
+            a = 0
+            for length in runs:
+                blocks.append(tuple(sorted(e for blk in p.blocks[a : a + length] for e in blk)))
+                positions.append(sum(p.positions[a : a + length]))
+                a += length
+            out.append(Plate._trusted(p.n, tuple(blocks), tuple(positions)))
     return out
 
 

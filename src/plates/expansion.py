@@ -25,9 +25,10 @@ from collections.abc import Iterator
 from functools import lru_cache
 
 from .combinatorics import Permutation
-from .core import Plate, apply_permutation, is_standard, print_plate, rotate, standard_basis
+from .core import Plate, is_standard, print_plate, rotate, standard_basis
 from .exactnum import Combination, CyclotomicNumber, q_pow
 from .linalg import Echelon
+from .oracle import SamplePlan, solve_in_basis
 
 LumpSeq = tuple[tuple[tuple[int, ...], int], ...]
 
@@ -50,10 +51,6 @@ class PlateVector(Combination):
     def combine(cls, n: int, r: int, pairs) -> "PlateVector":
         """sum(a * v) over the (scalar, vector) pairs."""
         return cls(n, r, ((b, a * c) for a, v in pairs for b, c in v.items()))
-
-    def apply_permutation(self, sigma: Permutation) -> "PlateVector":
-        images = ((coeff, expand(apply_permutation(sigma, p))) for p, coeff in self.terms.items())
-        return PlateVector.combine(self.n, self.r, images)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -187,8 +184,6 @@ def oracle_expand(p: Plate, plan=None) -> PlateVector:
     """Expansion through the geometric engine (solve against the
     standard-basis evaluations on the generic-point lattice); the slow,
     independent route."""
-    from .oracle import SamplePlan, solve_in_basis
-
     if plan is None:
         plan = SamplePlan(p.n, p.r)
     basis = standard_basis(p.n, p.r)

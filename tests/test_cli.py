@@ -238,3 +238,38 @@ def test_pinned_denominator_too_small_for_a_solve_exits_1(capsys):
     code = main(["expand", "--plate", "[[{2}_1 {1,3,4,5,6}_1]]", "--method", "oracle", "--denominator", "7"])
     assert code == 1
     assert "rank 12 < 32" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--suite", "all", "--n", "1", "--r", "1"], "need n >= 2 and r_max >= n"),
+        (["verify", "--suite", "worpitzky", "--n", "2", "--rmax", "1"], "need n >= 2 and r_max >= n"),
+        (["verify", "--suite", "all", "--n", "4", "--rmax", "3"], "need n >= 2 and r_max >= n"),
+        (["eulerian", "--rows", "-1"], "need rows >= 0, got rows=-1"),
+    ],
+)
+def test_bad_sizes_exit_2_before_any_check_runs(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_suites_without_worpitzky_run_at_n1(capsys):
+    code, payload = run_json(capsys, "verify", "--suite", "relations", "--n", "1", "--r", "1")
+    assert code == 0 and payload["ok"] is True
+    code, out = run(capsys, "eulerian", "--rows", "0")
+    assert (code, out) == (0, "")
+
+
+def test_handlers_return_payload_lines_and_ok(capsys):
+    from plates.cli import COMMANDS, build_parser
+
+    args = build_parser().parse_args(["dims", "--n", "6", "--r", "2", "--denominator", "7"])
+    payload, lines, ok = COMMANDS["dims"][0](args)
+    assert capsys.readouterr().out == ""
+    assert (payload["rank"], ok) == (12, False)
+    assert lines[-1] == "match: False"

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,7 +10,15 @@ from plates.combinatorics import (
     enumerate_osp,
     parse_permutation,
 )
-from plates.core import Plate, all_plates, parse_plate, print_plate, rotate, standard_basis
+from plates.core import (
+    Plate,
+    all_plates,
+    apply_permutation,
+    parse_plate,
+    print_plate,
+    rotate,
+    standard_basis,
+)
 from plates.exactnum import q_pow
 from plates.expansion import (
     PlateVector,
@@ -31,6 +40,12 @@ def as_fraction_terms(vec):
 
 def rand_plate(rng, n, r):
     return rng.choice(list(all_plates(n, r)))
+
+
+def act(sigma, v):
+    """sigma . v term by term: expand(sigma . p) for each standard plate p."""
+    images = ((c, expand(apply_permutation(sigma, p))) for p, c in v.items())
+    return PlateVector.combine(v.n, v.r, images)
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +196,9 @@ def test_vector_linear_ops():
 def test_vector_permutation_action():
     p = parse_plate("[[{1}_1 {2}_1]]")
     v = PlateVector(p.n, p.r, {p: 1})
-    swapped = v.apply_permutation(parse_permutation("(1 2)"))
+    swapped = act(parse_permutation("(1 2)"), v)
     assert as_fraction_terms(swapped) == {"[[{1,2}_2]]": 1, "[[{1}_1 {2}_1]]": -1}
-    assert v.apply_permutation(Permutation.identity(2)) == v
+    assert act(Permutation.identity(2), v) == v
 
 
 def test_vector_action_is_homomorphism():
@@ -193,7 +208,20 @@ def test_vector_action_is_homomorphism():
         v = expand(rand_plate(rng, n, r))
         s = Permutation(tuple(rng.sample(range(1, n + 1), n)))
         t = Permutation(tuple(rng.sample(range(1, n + 1), n)))
-        assert v.apply_permutation(s * t) == v.apply_permutation(t).apply_permutation(s)
+        assert act(s * t, v) == act(s, act(t, v))
+
+
+def test_qplate_action_is_the_expansion_of_the_moved_plate():
+    # sigma . qplate(p) = qplate(sigma . p): the action commutes with rotation,
+    # so the CLI expands the moved plate instead of acting term by term
+    for n, r in ((2, 3), (3, 2), (3, 3), (4, 2)):
+        perms = [Permutation(images) for images in itertools.permutations(range(1, n + 1))]
+        for p in all_plates(n, r):
+            vec = qplate_expand(p)
+            for sigma in perms:
+                moved = qplate_expand(apply_permutation(sigma, p))
+                want = act(sigma, vec)
+                assert moved == want and moved.to_json() == want.to_json()
 
 
 def test_vector_type_checks():
