@@ -25,7 +25,6 @@ from .core import (
     apply_permutation,
     evaluate,
     is_standard,
-    lumpings,
     parse_plate,
     print_plate,
     rotate,
@@ -59,8 +58,6 @@ from .characters import (
     mn_character,
     multiplicities,
     plate_character,
-    sym_power_character,
-    trivial_multiplicity_series,
 )
 from .oracle import (
     SamplePlan,

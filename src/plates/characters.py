@@ -3,8 +3,8 @@
 Characters are class functions keyed by cycle type.  The module provides the
 trace route (diagonal of the action on the standard basis), the gcd closed
 form, one table of the four character engines (``ENGINES``),
-Murnaghan-Nakayama irreducible characters, symmetric-power characters, and
-exact multiplicity decomposition.
+Murnaghan-Nakayama irreducible characters, and exact multiplicity
+decomposition.
 """
 
 from __future__ import annotations
@@ -186,24 +186,7 @@ def irreducible_dimension(mu: tuple[int, ...]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# symmetric powers and multiplicities
-
-
-def sym_power_character(k: int, n: int) -> ClassFunction:
-    """Character of the degree-k symmetric power of the permutation space:
-    value at lam is the t^k coefficient of prod_i 1/(1 - t^{lam_i})."""
-    table = {}
-    for lam in partitions(n):
-        if k < 0:
-            table[lam] = 0
-            continue
-        coeffs = [0] * (k + 1)
-        coeffs[0] = 1
-        for part in lam:
-            for d in range(part, k + 1):
-                coeffs[d] += coeffs[d - part]
-        table[lam] = coeffs[k]
-    return ClassFunction.from_dict(n, table)
+# multiplicities
 
 
 def character_inner_product(chi: ClassFunction, psi: ClassFunction) -> Fraction:
@@ -227,15 +210,3 @@ def multiplicities(chi: ClassFunction) -> dict[tuple[int, ...], int]:
             out[mu] = int(m)
     return out
 
-
-def trivial_multiplicity_series(n: int, r_max: int) -> list[int]:
-    """Multiplicity of the trivial representation in the plate module for
-    r = 1..r_max, averaging the gcd closed form over the classes."""
-    out = []
-    fact = math.factorial(n)
-    for r in range(1, r_max + 1):
-        total = sum(class_size(lam) * gcd_formula(lam, r) for lam in partitions(n))
-        q, rem = divmod(total, fact)
-        assert rem == 0, "trivial multiplicity must be an integer"
-        out.append(q)
-    return out

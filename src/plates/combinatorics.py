@@ -6,7 +6,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
-from collections.abc import Iterator
 from functools import lru_cache
 
 
@@ -150,11 +149,6 @@ def parse_permutation(text: str, n: int | None = None) -> Permutation:
                 raise ValueError(f"element {a} exceeds n={size}")
             images[a - 1] = b
     return Permutation(tuple(images))
-
-
-def all_permutations(n: int) -> Iterator[Permutation]:
-    for images in itertools.permutations(range(1, n + 1)):
-        yield Permutation(images)
 
 
 def permutation_with_cycle_type(lam: tuple[int, ...]) -> Permutation:

@@ -200,24 +200,6 @@ def rotate(p: Plate, t: int) -> Plate:
     )
 
 
-def lumpings(p: Plate) -> list[Plate]:
-    """All plates obtained by merging maximal runs of consecutive lumps
-    (positions add); includes p itself, 2^{k-1} in total."""
-    out = []
-    # a lumping is a composition of k: the run lengths of merged lumps
-    for m in range(1, p.k + 1):
-        for runs in enumerate_compositions(p.k, m):
-            blocks = []
-            positions = []
-            a = 0
-            for length in runs:
-                blocks.append(tuple(sorted(e for blk in p.blocks[a : a + length] for e in blk)))
-                positions.append(sum(p.positions[a : a + length]))
-                a += length
-            out.append(Plate._trusted(p.n, tuple(blocks), tuple(positions)))
-    return out
-
-
 def is_standard(p: Plate) -> bool:
     return 1 in p.blocks[0]
 

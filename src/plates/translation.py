@@ -139,10 +139,6 @@ def one(n: int, r: int) -> TranslationElement:
     return TranslationElement(n, r, {(0,) * (n - 1): 1})
 
 
-def monomial(n: int, r: int, exps: Exponents, coeff=1) -> TranslationElement:
-    return TranslationElement(n, r, {tuple(exps): coeff})
-
-
 def normalize_word(n: int, r: int, word: Iterable[tuple[int, int]], scalar=1) -> TranslationElement:
     """Normal form of scalar * prod e_i^{m_i} over (generator index, exponent)
     pairs; e_1^a contributes q^a and shifts every other exponent by -a."""
@@ -183,17 +179,14 @@ def _monomial_image(slots: list[int], r: int, exps: Exponents):
     return a, tuple([(x - a) % r for x in new[2:]])
 
 
-def basis_exponents(n: int, r: int):
-    return itertools.product(range(r), repeat=n - 1)
-
-
 @lru_cache(maxsize=4)
 def _digit_columns(n: int, r: int) -> tuple[int, int, tuple[int, ...]]:
     """The basis exponent vectors as packed digit columns: (width, ones,
     columns), where field i of columns[s], bits width*i up, holds digit s of
-    the i-th vector of basis_exponents(n, r), and ones has a 1 in every
-    field.  Fields are whole bytes and hold any value below 3r with the top
-    bit clear."""
+    the i-th exponent vector in lexicographic order (digit 0 varies slowest,
+    as in itertools.product(range(r), repeat=n - 1)), and ones has a 1 in
+    every field.  Fields are whole bytes and hold any value below 3r with the
+    top bit clear."""
     size = r ** (n - 1)
     nbytes = (3 * r - 1).bit_length() // 8 + 1
     columns = []

@@ -1,12 +1,14 @@
 """The power-to-Eulerian identity, classically and at the level of characters.
 
-The hypersimplex characters are *defined* here by triangular inversion of the
-decomposition of the simplex module into symmetric powers tensored with
-hypersimplex modules: the symmetric factor vanishes in negative degree, so
-setting r = a isolates chi_B(a) in terms of the earlier ones.  The derived
-characters are then audited: dimensions must be Eulerian numbers, irreducible
-multiplicities must be nonnegative integers, and the identity must keep
-holding for r well past the range that determined the characters.
+At a cycle type lam, sum_k sym^k(lam) t^k = 1 / prod_i (1 - t^{lam_i}), so the
+module identity chi_r = sum_a sym^{r-a} * chi_B(a) says that the series
+P_lam(t) = prod_i (1 - t^{lam_i}) * sum_{r >= 1} chi_r(lam) t^r is the
+polynomial sum_a chi_B(a)(lam) t^a: its t^1..t^{n-1} coefficients are the
+hypersimplex characters, and, as the product has constant term 1, the identity
+holds up to r_max iff P_lam has no term of degree n..r_max.  chi_r is the
+Diophantine count, which never reads the gcd closed form.  The derived
+dimensions must be Eulerian numbers, and the irreducible multiplicities
+nonnegative integers.
 """
 
 from __future__ import annotations
@@ -14,15 +16,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .characters import (
-    ClassFunction,
-    NotACharacterError,
-    gcd_character,
-    gcd_formula,
-    multiplicities,
-    sym_power_character,
-)
+from .characters import ClassFunction, NotACharacterError, multiplicities
 from .combinatorics import eulerian, partitions
+from .translation import diophantine_count
 
 
 def classical_worpitzky_check(n: int, r: int) -> bool:
@@ -36,18 +32,21 @@ def classical_worpitzky_check(n: int, r: int) -> bool:
     return total == r ** (n - 1)
 
 
+def _series(lam: tuple[int, ...], r_max: int) -> list[int]:
+    """The coefficients 0..r_max of P_lam(t), chi_r(lam) by ``diophantine_count``."""
+    poly = [0] + [diophantine_count(lam, r) for r in range(1, r_max + 1)]
+    for part in lam:  # times (1 - t^part), from the top degree down
+        for d in range(r_max, part - 1, -1):
+            poly[d] -= poly[d - part]
+    return poly
+
+
 def derive_hypersimplex_characters(n: int) -> list[ClassFunction]:
-    """chi_B(a) for a = 1..n-1 by triangular inversion:
-    chi_B(a) = chi_simplex(a) - sum_{a' < a} sym^{a-a'} * chi_B(a')."""
+    """chi_B(a) for a = 1..n-1: at each cycle type lam, the t^a coefficient of P_lam."""
     if n < 2:
         raise ValueError("need n >= 2")
-    derived: list[ClassFunction] = []
-    for a in range(1, n):
-        chi = gcd_character(n, a)
-        for a_prev, chi_prev in enumerate(derived, start=1):
-            chi = chi - sym_power_character(a - a_prev, n) * chi_prev
-        derived.append(chi)
-    return derived
+    series = {lam: _series(lam, n - 1) for lam in partitions(n)}
+    return [ClassFunction.from_dict(n, {lam: p[a] for lam, p in series.items()}) for a in range(1, n)]
 
 
 _REPORT_FIELDS = (
@@ -81,20 +80,20 @@ class WorpitzkyReport(namedtuple("WorpitzkyReport", _REPORT_FIELDS)):
 def verify_categorified_worpitzky(n: int, r_max: int) -> WorpitzkyReport:
     """Check, for every r <= r_max and every cycle type, that the simplex
     character equals the symmetric-power convolution of the derived
-    hypersimplex characters; audit dimensions and multiplicities."""
+    hypersimplex characters (P_lam has no term of degree n..r_max); audit
+    dimensions and multiplicities."""
     if n < 2 or r_max < n:
         raise ValueError("need n >= 2 and r_max >= n")
     chis = derive_hypersimplex_characters(n)
+    series = {lam: _series(lam, r_max) for lam in partitions(n)}
     failures: list[str] = []
     classical_ok = residuals_ok = multiplicities_ok = True
     for r in range(1, r_max + 1):
         if not classical_worpitzky_check(n, r):
             classical_ok = False
             failures.append(f"classical identity fails at r={r}")
-        syms = [sym_power_character(r - a, n) for a in range(1, n)]
-        for lam in partitions(n):
-            rhs = sum(sym.at(lam) * chi.at(lam) for sym, chi in zip(syms, chis))
-            if gcd_formula(lam, r) != rhs:
+        for lam, poly in series.items():
+            if r >= n and poly[r]:
                 residuals_ok = False
                 failures.append(f"residual at r={r}, class {lam}")
 

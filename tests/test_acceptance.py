@@ -11,7 +11,6 @@ from plates.characters import (
     irreducible_dimension,
     multiplicities,
     plate_character,
-    trivial_multiplicity_series,
 )
 from plates.combinatorics import (
     enumerate_compositions,
@@ -38,6 +37,7 @@ from plates.expansion import (
     qplate_expand,
 )
 from matrix_helpers import action_matrix, invert, mat_mul
+from reference import trivial_multiplicity_series
 from plates.oracle import SamplePlan, rank_report, verify_identity_ae
 from plates.translation import (
     diophantine_count,

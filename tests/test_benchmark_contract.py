@@ -1,8 +1,9 @@
 """The benchmark's command kinds, run through the CLI and judged by the
 benchmark's own checks, so that a change which breaks a benchmark job fails
-here first.  Cyclotomic and symbolic jobs run at tiny sizes; the geometric
-``dims`` jobs run at benchmark sizes and at seeds where a sampled rank used
-to fall short.  ``benchmarks/workloads.py`` is only read, never changed."""
+here first.  Cyclotomic and symbolic jobs run at tiny sizes, except the
+symbolic ``worpitzky`` job, which is cheap at its benchmark size; the
+geometric ``dims`` jobs run at benchmark sizes and at seeds where a sampled
+rank used to fall short.  ``benchmarks/workloads.py`` is only read, never changed."""
 
 import importlib.util
 import json
@@ -13,7 +14,7 @@ import pytest
 
 import plates
 from plates.cli import main
-from plates.combinatorics import all_permutations
+from reference import all_permutations
 
 
 def _load_workloads():
@@ -34,6 +35,7 @@ JOBS = [
     W.multiplicities("plates", 4, 3, "tiny"),
     W.verify("characters", 4, 3, 0, "tiny"),
     W.verify("worpitzky", 3, 2, 0, "tiny"),
+    W.verify("worpitzky", 7, 2, 0, "the symbolic workload's own job"),
     W.verify("relations", 2, 3, 0, "tiny"),
     W.dims(6, 2, 0, "full rank needs the next prime's lattice"),
     W.dims(4, 3, 6006, "a seed where a sampled rank fell short"),

@@ -19,12 +19,9 @@ from plates.characters import (
     multiplicities,
     plate_character,
     plate_trace,
-    sym_power_character,
-    trivial_multiplicity_series,
 )
 from plates.combinatorics import (
     Permutation,
-    all_permutations,
     parse_permutation,
     partitions,
     permutation_with_cycle_type,
@@ -33,6 +30,7 @@ from plates.core import apply_permutation, standard_basis
 from plates.exactnum import CyclotomicNumber
 from plates.expansion import diagonal_coefficient, expand, unmerged_slots
 from matrix_helpers import action_matrix, invert, mat_mul
+from reference import all_permutations, sym_power_character, trivial_multiplicity_series
 from test_exactnum import given
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from plates.characters import ENGINES
 from plates.cli import main
+from test_worpitzky import wrong_count_at
 
 
 def run(capsys, *argv):
@@ -192,6 +193,39 @@ def test_failed_dimension_audit_exits_1(capsys, monkeypatch):
     code, out = run(capsys, "multiplicities", "--n", "2", "--r", "2")
     assert code == 1
     assert out.splitlines()[-1] == "dimension audit: False"
+
+
+def test_failed_module_identity_exits_1(capsys, monkeypatch):
+    wrong_count_at(monkeypatch, (7,), 13)
+    code, payload = run_json(capsys, "verify", "--suite", "worpitzky", "--n", "7", "--r", "2")
+    assert code == 1 and payload["ok"] is False
+    classical, module = payload["checks"]
+    assert classical == {"suite": "worpitzky", "check": "classical identity r<=14", "ok": True}
+    assert module["ok"] is False
+    assert module["details"] == {"failures": ["residual at r=13, class (7,)"]}
+
+
+def test_worpitzky_suite_runs_the_classical_check_once_per_r(capsys, monkeypatch):
+    import plates.cli
+    import plates.worpitzky
+
+    calls = []
+
+    def check(n, r):
+        calls.append(r)
+        return r != 3 or not failing
+
+    for module in (plates.cli, plates.worpitzky):
+        monkeypatch.setattr(module, "classical_worpitzky_check", check)
+    failing = False
+    assert run(capsys, "verify", "--suite", "worpitzky", "--n", "3", "--rmax", "5")[0] == 0
+    assert calls == [1, 2, 3, 4, 5]
+    failing = True
+    code, payload = run_json(capsys, "verify", "--suite", "worpitzky", "--n", "3", "--rmax", "5")
+    assert code == 1
+    classical, module = payload["checks"]
+    assert classical["details"] == {"failing_r": [3]}
+    assert module["details"] == {"failures": ["classical identity fails at r=3"]}
 
 
 def test_expand_at_n6_r2_walks_on_to_the_next_prime(capsys):

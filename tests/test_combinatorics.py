@@ -7,7 +7,6 @@ import pytest
 from plates.combinatorics import (
     Permutation,
     PermutationParseError,
-    all_permutations,
     class_size,
     enumerate_compositions,
     enumerate_osp,
@@ -18,6 +17,7 @@ from plates.combinatorics import (
     partitions,
     permutation_with_cycle_type,
 )
+from reference import all_permutations
 
 
 def test_eulerian_table_values():

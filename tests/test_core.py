@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from plates.characters import gcd_character
-from plates.combinatorics import Permutation, all_permutations, parse_permutation
+from plates.combinatorics import Permutation, parse_permutation
 from plates.core import (
     Plate,
     PlateParseError,
@@ -14,7 +14,6 @@ from plates.core import (
     apply_permutation,
     evaluate,
     is_standard,
-    lumpings,
     parse_plate,
     print_plate,
     rotate,
@@ -25,6 +24,7 @@ from plates.expansion import qplate
 from plates.oracle import SamplePlan, rank_report
 from plates.worpitzky import verify_categorified_worpitzky
 from matrix_helpers import action_matrix
+from reference import all_permutations, lumpings
 from test_exactnum import given
 
 

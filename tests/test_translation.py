@@ -7,7 +7,6 @@ from plates import translation
 from plates.characters import gcd_formula, plate_character
 from plates.combinatorics import (
     Permutation,
-    all_permutations,
     parse_permutation,
     partitions,
     permutation_with_cycle_type,
@@ -16,18 +15,17 @@ from plates.exactnum import CyclotomicNumber, q_pow, zeta_pow
 from plates.translation import (
     TranslationElement,
     admissible_labels,
-    basis_exponents,
     diophantine_count,
     fixed_label_count,
     generator,
     idempotent,
-    monomial,
     normalize_word,
     one,
     ta_act,
     ta_trace,
     verify_partition_of_unity,
 )
+from reference import all_permutations, basis_exponents, monomial
 from test_exactnum import given
 
 

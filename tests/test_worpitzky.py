@@ -1,5 +1,6 @@
 import pytest
 
+from plates import worpitzky
 from plates.characters import irreducible_dimension, multiplicities
 from plates.combinatorics import eulerian
 from plates.worpitzky import (
@@ -7,6 +8,16 @@ from plates.worpitzky import (
     derive_hypersimplex_characters,
     verify_categorified_worpitzky,
 )
+from reference import triangular_hypersimplex_characters
+
+
+def wrong_count_at(monkeypatch, lam, r):
+    """Make the Diophantine count the module identity reads one too large at
+    cycle type lam and slice r."""
+    right = worpitzky.diophantine_count
+    monkeypatch.setattr(
+        worpitzky, "diophantine_count", lambda mu, s: right(mu, s) + ((mu, s) == (lam, r))
+    )
 
 
 def test_classical_identity_examples():
@@ -52,6 +63,30 @@ def test_derived_characters_are_genuine_modules():
             assert all(m > 0 for m in table.values())
             total = sum(m * irreducible_dimension(mu) for mu, m in table.items())
             assert total == chi.identity_value()
+
+
+def test_series_route_matches_the_triangular_inversion():
+    for n in range(2, 9):
+        assert derive_hypersimplex_characters(n) == triangular_hypersimplex_characters(n), n
+        assert verify_categorified_worpitzky(n, 3 * n).residuals_ok, n  # tail to degree 3n
+
+
+def test_wrong_count_past_n_fails_the_residual_check(monkeypatch):
+    wrong_count_at(monkeypatch, (7,), 13)
+    report = verify_categorified_worpitzky(7, 14)
+    assert not report.residuals_ok
+    assert report.failures == ["residual at r=13, class (7,)"]
+    assert report.classical_ok and report.dims_ok and report.multiplicities_ok
+
+
+@pytest.mark.parametrize(
+    "lam, r, audit", [((1, 1, 1, 1), 1, "dims_ok"), ((4,), 2, "multiplicities_ok")]
+)
+def test_wrong_count_below_n_fails_an_audit(monkeypatch, lam, r, audit):
+    wrong_count_at(monkeypatch, lam, r)
+    report = verify_categorified_worpitzky(4, 8)
+    assert getattr(report, audit) is False
+    assert not report.ok
 
 
 def test_report_overdetermined_range():
