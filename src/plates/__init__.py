@@ -52,7 +52,7 @@ from .expansion import (
 from .characters import (
     ClassFunction,
     NotACharacterError,
-    gcd_character,
+    character,
     gcd_formula,
     irreducible_dimension,
     mn_character,

@@ -117,7 +117,7 @@ def cmd_act(args):
 
 def cmd_character(args):
     chi = character(args.engine, args.n, args.r)
-    values = {_partition_key(lam): int(v) for lam, v in chi.values}
+    values = {_partition_key(lam): v for lam, v in chi.values}
     payload = {"engine": args.engine, "n": args.n, "r": args.r, "values": values}
     lines = [f"character of the plate module, n={args.n}, r={args.r} ({args.engine})"]
     lines += [f"  {key:>12}  {val}" for key, val in values.items()]

@@ -36,7 +36,8 @@ def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list:
         if not ai:
             continue
         for j, bj in enumerate(b):
-            out[i + j] += ai * bj
+            if bj:
+                out[i + j] += ai * bj
     return out
 
 
@@ -213,13 +214,7 @@ class CyclotomicNumber:
             return self
         if not any(b):
             return o
-        conv = [0] * (2 * len(a) - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    conv[i + j] += ai * bj
+        conv = _poly_mul(a, b)
         nums, den = _lowest_terms(_fold(self.order, conv), self.denominator * o.denominator)
         return _build(self.order, nums, den)
 

@@ -118,13 +118,6 @@ def _compositions(n: int, total: int, d: int) -> Iterator[tuple[tuple[int, ...],
     return walk((), total, 0, [0])
 
 
-def _seed_int(plan: SamplePlan) -> int:
-    # process-independent seed (tuple hashing is randomized per process)
-    import hashlib  # here, as it loads OpenSSL and only identity checks derive a seed
-    tag = f"plate-oracle:{plan.seed}:{plan.n}:{plan.r}:{plan.resolved_denominator}"
-    return int.from_bytes(hashlib.sha256(tag.encode()).digest()[:8], "big")
-
-
 def _sample_numerators(plan: SamplePlan, count: int) -> list[tuple[int, ...]]:
     """Numerators a of up to ``count`` distinct generic points a/D, drawn by a
     random descent of the ``_compositions`` tree from one RNG seeded by the
@@ -137,7 +130,8 @@ def _sample_numerators(plan: SamplePlan, count: int) -> list[tuple[int, ...]]:
     import random  # here, as only identity checks draw points
     n, d = plan.n, plan.resolved_denominator
     total = plan.r * d
-    rng = random.Random(_seed_int(plan))
+    # a str seed is hashed by SHA-512, the same in every process
+    rng = random.Random(f"plate-oracle:{plan.seed}:{n}:{plan.r}:{d}")
     live: dict[tuple[int, ...], list[int]] = {}  # visited prefix -> its parts still in play
     drawn: list[tuple[int, ...]] = []
     while len(drawn) < count:

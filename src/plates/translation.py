@@ -268,27 +268,22 @@ def admissible_labels(n: int, r: int) -> list[tuple[int, ...]]:
 
 
 def idempotent(label: Sequence[int], r: int) -> TranslationElement:
-    """The projector with eigenvalue q^{i_j} for e_j:
-    (1/r^n) * prod_j sum_k (q^{-i_j} e_j)^k."""
+    """The projector (1/r^n) * prod_j sum_k (q^{-i_j} e_j)^k, with eigenvalue
+    q^{i_j} for e_j.  As sum(label) = 1 mod r, the product puts r equal terms
+    on each basis monomial e, so its coefficient is zeta^{e . label[1:]} / r^{n-1}."""
     label = tuple(label)
     n = len(label)
     if any(not 0 <= i < r for i in label):
         raise ValueError(f"label entries must lie in 0..{r-1}: {label}")
     if sum(label) % r != 1 % r:
         raise ValueError(f"label {label} not in the admissible set: sum != 1 mod {r}")
-    powers: dict[Exponents, list[int]] = {}  # per monomial, counts of each power of zeta
-    for ks in itertools.product(range(r), repeat=n):
-        # the term q^{-sum k_j i_j} e_1^{k_1}...e_n^{k_n}, with e_1^a = q^a e_2^{-a}...e_n^{-a}
-        a = ks[0]
-        exps = tuple((k - a) % r for k in ks[1:])
-        counts = powers.get(exps)
-        if counts is None:
-            counts = powers[exps] = [0] * r
-        counts[(sum(k * i for k, i in zip(ks, label)) - a) % r] += 1
-    den = r**n
-    return TranslationElement(
-        n, r, {e: CyclotomicNumber.from_integer_poly(r, c, den) for e, c in powers.items()}
-    )
+    den = r ** (n - 1)
+    powers = [CyclotomicNumber.from_integer_poly(r, [0] * k + [1], den) for k in range(r)]
+    terms = {
+        exps: powers[sum(e * i for e, i in zip(exps, label[1:])) % r]
+        for exps in itertools.product(range(r), repeat=n - 1)
+    }
+    return TranslationElement._trusted(n, r, terms)
 
 
 def fixed_label_count(sigma: Permutation, n: int, r: int) -> int:

@@ -6,7 +6,7 @@ import time
 from contextlib import contextmanager
 
 from plates.characters import (
-    gcd_character,
+    character,
     gcd_formula,
     irreducible_dimension,
     multiplicities,
@@ -137,7 +137,7 @@ def test_criterion_07_four_way_character_agreement():
     with budget(7, 300, "plate trace = translation trace = count = closed form"):
         for n in range(1, 5):
             for r in range(1, 5):
-                assert plate_character(n, r).as_dict() == gcd_character(n, r).as_dict()
+                assert plate_character(n, r).as_dict() == character("formula", n, r).as_dict()
         for n in range(1, 6):
             for r in range(1, 7):
                 for lam in partitions(n):

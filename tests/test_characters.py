@@ -12,7 +12,6 @@ from plates.characters import (
     NotACharacterError,
     character,
     character_inner_product,
-    gcd_character,
     gcd_formula,
     irreducible_dimension,
     mn_character,
@@ -125,7 +124,7 @@ def test_unmerged_slots_examples():
 def test_plate_character_matches_closed_form():
     for n in range(1, 7):
         for r in range(1, 5):
-            assert plate_character(n, r).as_dict() == gcd_character(n, r).as_dict(), (n, r)
+            assert plate_character(n, r).as_dict() == character("formula", n, r).as_dict(), (n, r)
 
 
 # Each character route, and the module-level names it can be reached by.
@@ -160,6 +159,14 @@ def test_each_character_route_runs_with_the_others_disabled(monkeypatch, route, 
         values = {lam: translation.fixed_label_count(sigma(lam), n, r) for lam in partitions(n)}
     assert values == expected
     assert set(ENGINES) | {"fixed-labels"} == set(_ROUTES)
+
+
+def test_every_engine_returns_ints():
+    for n in range(1, 6):
+        for r in range(1, 6):
+            for engine in ENGINES:
+                for lam, value in character(engine, n, r).values:
+                    assert type(value) is int, (engine, n, r, lam, value)
 
 
 def test_gcd_formula_examples():
@@ -231,6 +238,15 @@ def test_mn_orthonormality():
                 assert character_inner_product(a, b) == (1 if i == j else 0)
 
 
+def test_inner_product_rejects_misaligned_class_functions():
+    chi = mn_character((2, 1))
+    swapped = ClassFunction(3, (chi.values[1], chi.values[0], chi.values[2]))
+    with pytest.raises(ValueError, match="not aligned"):
+        character_inner_product(chi, swapped)
+    with pytest.raises(ValueError):
+        character_inner_product(chi, ClassFunction(3, chi.values[:2]))
+
+
 def test_dimension_sum_of_squares():
     for n in range(1, 7):
         assert sum(irreducible_dimension(mu) ** 2 for mu in partitions(n)) == math.factorial(n)
@@ -282,7 +298,7 @@ def test_multiplicity_tables():
 def test_multiplicity_dimension_audit():
     for n in range(1, 5):
         for r in range(1, 5):
-            table = multiplicities(gcd_character(n, r))
+            table = multiplicities(character("formula", n, r))
             total = sum(m * irreducible_dimension(mu) for mu, m in table.items())
             assert total == r ** (n - 1)
 

@@ -1,9 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from plates.characters import ENGINES
 from plates.cli import main
+from plates.exactnum import CyclotomicNumber, zeta_pow
 from test_worpitzky import wrong_count_at
 
 
@@ -166,6 +168,43 @@ def test_non_character_exits_1(capsys, monkeypatch):
     code = main(["multiplicities", "--n", "2", "--r", "2", "--json"])
     assert code == 1
     assert "not a character" in capsys.readouterr().err
+
+
+def _translation_trace_at(monkeypatch, lam, value):
+    """Make the translation engine's trace ``value`` at cycle type lam."""
+    from plates import characters
+
+    right = characters.ta_trace
+    monkeypatch.setattr(
+        characters,
+        "ta_trace",
+        lambda sigma, n, r: value(r) if sigma.cycle_type() == lam else right(sigma, n, r),
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["character", "--n", "3", "--r", "3", "--engine", "translation"],
+        ["multiplicities", "--n", "3", "--r", "3", "--engine", "translation"],
+        ["verify", "--suite", "characters", "--n", "3", "--r", "3"],
+    ],
+)
+def test_non_rational_trace_exits_1(capsys, monkeypatch, argv):
+    _translation_trace_at(monkeypatch, (2, 1), lambda r: zeta_pow(r, 1))
+    assert main([*argv, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-integral trace" in captured.err
+
+
+def test_half_integral_trace_exits_1(capsys, monkeypatch):
+    # truncating the value with int() would print 0 here and exit 0
+    _translation_trace_at(
+        monkeypatch, (2, 1), lambda r: CyclotomicNumber.from_rational(r, Fraction(1, 2))
+    )
+    assert main(["character", "--n", "3", "--r", "3", "--engine", "translation", "--json"]) == 1
+    assert "non-integral trace 1/2 at class (2, 1)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["character", "multiplicities"])

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from plates.characters import gcd_character
+from plates.characters import character
 from plates.combinatorics import Permutation, parse_permutation
 from plates.core import (
     Plate,
@@ -260,7 +260,7 @@ def test_every_way_to_rebuild_a_plate_checks_it():
 
 
 def _records():
-    chi = gcd_character(3, 2)
+    chi = character("formula", 3, 2)
     return [
         Permutation((2, 3, 1)),
         SamplePlan(4, 3),
@@ -309,7 +309,7 @@ def test_every_way_to_rebuild_a_record_checks_it():
 
 def test_records_do_not_repeat_like_tuples():
     # a tuple subclass with __mul__ but no __rmul__ would repeat itself
-    sigma, chi = Permutation((2, 3, 1)), gcd_character(3, 2)
+    sigma, chi = Permutation((2, 3, 1)), character("formula", 3, 2)
     for x in (sigma, chi):
         with pytest.raises(TypeError):
             2 * x

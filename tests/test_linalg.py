@@ -9,7 +9,7 @@ import pytest
 
 from matrix_helpers import invert, mat_mul
 from plates import oracle
-from plates.characters import ENGINES, character, gcd_character
+from plates.characters import ENGINES, character
 from plates.cli import build_parser
 from plates.core import all_plates, standard_basis
 from plates.expansion import qbasis_matrix
@@ -96,7 +96,7 @@ def test_engine_table_drives_the_cli_and_agrees():
         engine = next(a for a in subs.choices[command]._actions if a.dest == "engine")
         assert tuple(engine.choices) == tuple(ENGINES)
     for n, r in ((3, 3), (4, 2)):
-        want = gcd_character(n, r)
+        want = character("formula", n, r)
         for name in ENGINES:
             assert character(name, n, r) == want, name
 

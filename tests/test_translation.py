@@ -25,7 +25,7 @@ from plates.translation import (
     ta_trace,
     verify_partition_of_unity,
 )
-from reference import all_permutations, basis_exponents, monomial
+from reference import all_permutations, basis_exponents, monomial, product_idempotent
 from test_exactnum import given
 
 
@@ -162,6 +162,13 @@ def test_idempotent_examples():
         idempotent((0, 0), 2)
     with pytest.raises(ValueError):
         idempotent((0, 5), 3)
+
+
+def test_idempotent_closed_form_matches_product_form():
+    sizes = [*itertools.product(range(1, 5), range(1, 5)), (2, 5), (2, 6), (3, 5), (5, 2)]
+    for n, r in sizes:
+        for label in admissible_labels(n, r):
+            assert idempotent(label, r) == product_idempotent(label, r), (n, r, label)
 
 
 @pytest.mark.parametrize("n,r", [(2, 2), (2, 3), (3, 2), (3, 3)])
