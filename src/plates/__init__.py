@@ -40,7 +40,6 @@ from .exactnum import (
 )
 from .expansion import (
     PlateVector,
-    QPlate,
     expand,
     lumped_shuffles,
     oracle_expand,

@@ -41,12 +41,10 @@ from .core import (
     standard_basis,
 )
 from .expansion import (
-    PlateVector,
     expand,
     oracle_expand,
     qbasis_is_invertible,
     qbasis_matrix,
-    qplate,
     qplate_expand,
 )
 from .oracle import SamplePlan, SpanError, rank_report, verify_identity_ae
@@ -78,27 +76,17 @@ def _parse_plate_arg(text: str, n=None) -> tuple[Plate, bool]:
 
 def cmd_expand(args):
     plate, is_q = _parse_plate_arg(args.plate, n=args.n)
-    method = args.method
-    sym = orc = None
-    if method in ("shuffle", "both"):
-        sym = qplate_expand(plate) if is_q else expand(plate)
-    if method in ("oracle", "both"):
-        plan = _plan(args, plate.n, plate.r)
-        if is_q:
-            rotations = qplate(plate).expansion
-            images = ((coeff, oracle_expand(rotated, plan)) for coeff, rotated in rotations)
-            orc = PlateVector.combine(plate.n, plate.r, images)
-        else:
-            orc = oracle_expand(plate, plan)
-    result = sym if sym is not None else orc
+    engines = {"shuffle": expand, "oracle": lambda p: oracle_expand(p, _plan(args, p.n, p.r))}
+    methods = list(engines) if args.method == "both" else [args.method]
+    results = [qplate_expand(plate, engines[m]) if is_q else engines[m](plate) for m in methods]
     payload = {
         "input": ("q" if is_q else "") + print_plate(plate),
-        "method": method,
-        "expansion": result.to_json(),
+        "method": args.method,
+        "expansion": results[0].to_json(),
     }
-    lines = [f"{payload['input']} = {result}"]
-    if method == "both":
-        payload["engines_agree"] = sym == orc
+    lines = [f"{payload['input']} = {results[0]}"]
+    if args.method == "both":
+        payload["engines_agree"] = results[0] == results[1]
         lines.append(f"engines agree: {payload['engines_agree']}")
     return payload, lines, payload.get("engines_agree", True)
 

@@ -20,7 +20,6 @@ expanding.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
 
@@ -195,26 +194,17 @@ def oracle_expand(p: Plate, plan=None) -> PlateVector:
 # q-plates
 
 
-class QPlate(namedtuple("QPlate", "representative expansion")):
-    """Cyclic sum of a plate's rotations, weighted by powers of q = zeta^{-1}:
-    the rotation moving positions with sum s to the front carries q^{-s}.
-    It compares equal to the tuple (representative, expansion)."""
-
-    __slots__ = ()
-
-
-def qplate(p: Plate) -> QPlate:
-    r = p.r
-    terms = []
-    for t in range(p.k):
-        moved = sum(p.positions[p.k - t :])
-        terms.append((q_pow(r, -moved), rotate(p, t)))
-    return QPlate(p, tuple(terms))
+def qplate(p: Plate) -> tuple[tuple[CyclotomicNumber, Plate], ...]:
+    """Cyclic sum of a plate's rotations, weighted by powers of q = zeta^{-1},
+    as its (weight, rotated plate) pairs: the rotation moving positions with
+    sum s to the front carries q^{-s}."""
+    return tuple((q_pow(p.r, -sum(p.positions[p.k - t :])), rotate(p, t)) for t in range(p.k))
 
 
-def qplate_expand(p: Plate) -> PlateVector:
-    """Push every rotation of the q-plate through the standard expansion."""
-    images = ((coeff, expand(rotated)) for coeff, rotated in qplate(p).expansion)
+def qplate_expand(p: Plate, engine=None) -> PlateVector:
+    """Push every rotation of the q-plate through an engine, a function from
+    plates to plate vectors (default ``expand``, looked up at each call)."""
+    images = ((coeff, (engine or expand)(rotated)) for coeff, rotated in qplate(p))
     return PlateVector.combine(p.n, p.r, images)
 
 

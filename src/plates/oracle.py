@@ -305,11 +305,10 @@ def rank_report(plates: Sequence[Plate], plan: SamplePlan) -> RankReport:
     """Rank over Q of the plates' evaluation matrix at generic points a/D,
     with the points visited and the last denominator (``_walk``)."""
     plates = list(plates)
+    if any(p.n != plan.n or p.r != plan.r for p in plates):
+        raise ValueError(f"every plate must lie on the plan's slice (n={plan.n}, r={plan.r})")
     if not plates:
         return RankReport(0, 0, plan.resolved_denominator)
-    n, r = plates[0].n, plates[0].r
-    if any(p.n != n or p.r != r for p in plates):
-        raise ValueError("all plates must share n and r")
     return _walk(plates, plan)[0]
 
 
@@ -432,8 +431,8 @@ def solve_in_basis(target: Plate, basis: Sequence[Plate], plan: SamplePlan) -> l
     basis = tuple(basis)
     if not basis:
         raise ValueError("basis must not be empty")
-    if any(p.n != target.n or p.r != target.r for p in basis):
-        raise ValueError("target and basis must share n and r")
+    if any(p.n != plan.n or p.r != plan.r for p in (target, *basis)):
+        raise ValueError(f"every plate must lie on the plan's slice (n={plan.n}, r={plan.r})")
     return _solver(basis, plan._replace(seed=0)).solve(target)
 
 

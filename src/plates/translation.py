@@ -157,26 +157,14 @@ def generator(n: int, r: int, i: int) -> TranslationElement:
 
 
 def ta_act(sigma: Permutation, elt: TranslationElement) -> TranslationElement:
-    """Permute generators e_i -> e_{sigma(i)} and renormalize."""
+    """Permute generators e_i -> e_{sigma(i)} and renormalize each term by
+    ``normalize_word``; sigma permutes the basis monomials, so no two terms
+    land on one monomial."""
     if sigma.n != elt.n:
         raise ValueError(f"permutation on {sigma.n} letters, algebra has n={elt.n}")
-    slots = [sigma(i) for i in range(2, elt.n + 1)]
-    images = ((_monomial_image(slots, elt.r, exps), coeff) for exps, coeff in elt.items())
-    # sigma permutes the basis monomials, so no two terms land on one monomial
-    return TranslationElement(
-        elt.n, elt.r, ((image, q_pow(elt.r, a) * coeff) for (a, image), coeff in images)
-    )
-
-
-def _monomial_image(slots: list[int], r: int, exps: Exponents):
-    """Image of a basis monomial under sigma, given slots[i] = sigma(i + 2), as
-    (a, exponent vector): sigma maps it to q^a times the monomial with that
-    exponent vector."""
-    new = [0] * (len(slots) + 2)
-    for slot, e in zip(slots, exps):
-        new[slot] = e
-    a = new[1] % r
-    return a, tuple([(x - a) % r for x in new[2:]])
+    n, r = elt.n, elt.r
+    words = (normalize_word(n, r, zip(sigma.images[1:], exps), c) for exps, c in elt.items())
+    return TranslationElement(n, r, (term for word in words for term in word.items()))
 
 
 @lru_cache(maxsize=4)

@@ -313,6 +313,18 @@ def test_pinned_denominator_too_small_for_a_solve_exits_1(capsys):
     assert "rank 12 < 32" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("plate", ["[[{1}_1 {2}_1]]", "q[[{1}_1 {2}_1]]"])
+def test_bad_denominator_matters_only_to_the_oracle(capsys, plate):
+    # the plan is built only when the oracle engine runs
+    argv = ["expand", "--plate", plate, "--denominator", "4", "--method"]
+    assert main([*argv, "shuffle"]) == 0
+    for method in ("oracle", "both"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, method])
+        assert exc.value.code == 2
+    assert "denominator must be a prime > n, got 4" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

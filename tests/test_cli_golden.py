@@ -8,6 +8,7 @@ its digest with the reason in CHANGES.md.
 """
 
 import hashlib
+import sys
 
 import pytest
 
@@ -47,6 +48,15 @@ GOLDEN = [
     (['verify', '--suite', 'all', '--n', '3', '--r', '3', '--seed', '7', '--json'], 0, "3bf864a4a4ab853669281943e20873d864f87c7d1295e32dabcaf13834c284b6"),
     (['character', '--n', '3'], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
+
+
+# argparse 3.13 wraps the long usage lines of these two differently
+if sys.version_info >= (3, 13):
+    PY313 = {
+        ("--help",): "66e3ae25b3a4392ed19d7da62fe29cc9ecde8d1603b574a9e0d272ad6daf6eeb",
+        ("verify", "--help"): "9b7f0452d5bed9044487ad444f41a0fa25a251ebcb0336a193e1a303ff669ee7",
+    }
+    GOLDEN = [(argv, code, PY313.get(tuple(argv), digest)) for argv, code, digest in GOLDEN]
 
 
 @pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[" ".join(c[0]) for c in GOLDEN])

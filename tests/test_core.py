@@ -20,7 +20,6 @@ from plates.core import (
     standard_basis,
 )
 from plates.exactnum import CyclotomicNumber
-from plates.expansion import qplate
 from plates.oracle import SamplePlan, rank_report
 from plates.worpitzky import verify_categorified_worpitzky
 from matrix_helpers import action_matrix
@@ -269,7 +268,6 @@ def _records():
         chi,
         chi.scale(CyclotomicNumber.from_rational(2, 3)),  # cyclotomic values
         action_matrix(Permutation((2, 1)), 2, 3),
-        qplate(parse_plate("[[{1}_1 {2}_2]]")),
     ]
 
 

@@ -238,7 +238,7 @@ def test_vector_type_checks():
 
 def test_qplate_two_lumps():
     qp = qplate(parse_plate("[[{1}_1 {2}_1]]"))
-    terms = [(c.to_fraction(), print_plate(p)) for c, p in qp.expansion]
+    terms = [(c.to_fraction(), print_plate(p)) for c, p in qp]
     assert terms == [(1, "[[{1}_1 {2}_1]]"), (-1, "[[{2}_1 {1}_1]]")]
 
 
@@ -247,12 +247,19 @@ def test_qplate_expand_two_lumps():
     assert as_fraction_terms(v) == {"[[{1}_1 {2}_1]]": 2, "[[{1,2}_2]]": -1}
 
 
+def test_qplate_expand_through_the_oracle_engine():
+    for n, r in ((2, 3), (3, 2), (3, 3)):
+        plan = SamplePlan(n, r)
+        for p in all_plates(n, r):
+            assert qplate_expand(p, lambda q: oracle_expand(q, plan)) == qplate_expand(p)
+
+
 def test_qplate_four_cycle_weights():
     qp = qplate(parse_plate("[[{1}_1 {2}_1 {3}_1 {4}_1]]"))
-    coeffs = [c for c, _ in qp.expansion]
+    coeffs = [c for c, _ in qp]
     # q^{-s} with s = 0, 1, 2, 3 positions moved to the front
     assert coeffs == [q_pow(4, 0), q_pow(4, -1), q_pow(4, -2), q_pow(4, -3)]
-    rotated = [print_plate(p) for _, p in qp.expansion]
+    rotated = [print_plate(p) for _, p in qp]
     assert rotated == [
         "[[{1}_1 {2}_1 {3}_1 {4}_1]]",
         "[[{4}_1 {1}_1 {2}_1 {3}_1]]",

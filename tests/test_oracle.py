@@ -19,6 +19,7 @@ from plates.oracle import (
     _flag_test,
     _gf2_insert,
     _holds,
+    _row,
     _sample_numerators,
     _subset_sums,
 )
@@ -136,6 +137,20 @@ def test_rank_is_exact_when_gf2_accepts_no_row(monkeypatch):
     for n, r, d, expected in ((4, 3, None, (27, 73, 5)), (6, 2, None, (32, 1244, 11)), (6, 2, 7, (12, 42, 7))):
         report = rank_report(standard_basis(n, r), SamplePlan(n, r, denominator=d))
         assert (report.rank, report.points_used, report.denominator) == expected, (n, r, d)
+
+
+def test_mod_p_replay_finds_rank_that_gf2_misses():
+    # real data, nothing patched: at (6, 3) and D = 7 the walked rows have
+    # rank 67 mod 2, so the rank 69 comes from the mod-P replay (and its
+    # exact recount, as 69 < 243 is short)
+    basis, plan = standard_basis(6, 3), SamplePlan(6, 3, denominator=7)
+    assert rank_report(basis, plan) == (69, 174, 7)
+    tests = [_flag_test(p, plan) for p in basis]
+    rows = [_row(tests, sums) for _, sums in _compositions(6, 3 * 7, 7)]
+    pivots = {}
+    for row in rows:
+        _gf2_insert(pivots, row)
+    assert (len(rows), len(pivots)) == (174, 67)
 
 
 def _pack(row):
@@ -301,6 +316,23 @@ def test_solve_rejects_mismatched_slice():
         solve_in_basis(parse_plate("[[{1}_1 {2}_1]]"), standard_basis(2, 3), SamplePlan(2, 3))
     with pytest.raises(ValueError, match="empty"):
         solve_in_basis(parse_plate("[[{1}_1 {2}_1]]"), [], SamplePlan(2, 2))
+
+
+def test_ranks_and_solves_reject_a_plan_for_another_slice():
+    # unchecked, the walk would score every plate 0 and report rank 0, and a
+    # solve would fail as a SpanError instead of a usage error
+    target = parse_plate("[[{1}_1 {2,3}_2]]")
+    for plan in (SamplePlan(3, 2), SamplePlan(4, 3)):
+        with pytest.raises(ValueError, match="plan's slice"):
+            rank_report(standard_basis(3, 3), plan)
+        with pytest.raises(ValueError, match="plan's slice"):
+            solve_in_basis(target, standard_basis(3, 3), plan)
+        with pytest.raises(ValueError, match="plan's slice"):
+            oracle_expand(target, plan)
+    with pytest.raises(ValueError, match="plan's slice"):
+        rank_report([*standard_basis(3, 2), parse_plate("[[{1,2,3}_3]]")], SamplePlan(3, 2))
+    # identity checks still score a plate of another total as 0
+    assert verify_identity_ae(parse_plate("[[{1,2,3}_3]]"), [], SamplePlan(3, 2)) == (True, None)
 
 
 def test_coefficients_fitted_on_half_predict_other_half():
