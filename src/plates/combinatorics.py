@@ -191,15 +191,10 @@ def eulerian_row(m: int) -> list[int]:
 # partitions, compositions, ordered set partitions
 
 
-def partitions(n: int) -> list[tuple[int, ...]]:
-    """All integer partitions of n, parts decreasing, reverse-lexicographic order.
-
-    Each call returns a new list over one cached tuple per n."""
-    return list(_partitions(n))
-
-
 @lru_cache(maxsize=64)
-def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
+def partitions(n: int) -> tuple[tuple[int, ...], ...]:
+    """All integer partitions of n, parts decreasing, reverse-lexicographic
+    order.  Every call with the same n returns the same tuple."""
     if n == 0:
         return ((),)
     out: list[tuple[int, ...]] = []

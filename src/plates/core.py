@@ -204,34 +204,28 @@ def is_standard(p: Plate) -> bool:
     return 1 in p.blocks[0]
 
 
-def standard_basis(n: int, r: int) -> list[Plate]:
+@lru_cache(maxsize=32)
+def standard_basis(n: int, r: int) -> tuple[Plate, ...]:
     """All plates with 1 in the first lump, positions summing to r.
 
     Canonical order: lump count ascending, then ordered-set-partition order,
-    then composition order.  The length is r^{n-1}.  Each call returns a new
-    list over one cached tuple per (n, r).
+    then composition order.  The length is r^{n-1}.  Every call with the same
+    (n, r) returns the same tuple.
     """
     if n < 1 or r < 1:
         raise ValueError("need n >= 1 and r >= 1")
-    return list(_standard_basis(n, r))
-
-
-@lru_cache(maxsize=32)
-def _standard_basis(n: int, r: int) -> tuple[Plate, ...]:
-    basis = []
-    for k in range(1, min(n, r) + 1):
-        comps = enumerate_compositions(r, k)
-        for blocks in enumerate_osp(n, k, one_first=True):
-            for comp in comps:
-                basis.append(Plate._trusted(n, blocks, comp))
-    return tuple(basis)
+    return tuple(_plates(n, r, one_first=True))
 
 
 def all_plates(n: int, r: int) -> Iterator[Plate]:
     """Every plate on {1..n} with positions summing to r (any first lump)."""
+    return _plates(n, r, one_first=False)
+
+
+def _plates(n: int, r: int, one_first: bool) -> Iterator[Plate]:
     for k in range(1, min(n, r) + 1):
         comps = enumerate_compositions(r, k)
-        for blocks in enumerate_osp(n, k):
+        for blocks in enumerate_osp(n, k, one_first=one_first):
             for comp in comps:
                 yield Plate._trusted(n, blocks, comp)
 

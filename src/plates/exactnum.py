@@ -311,7 +311,11 @@ class CyclotomicNumber:
         return f"CyclotomicNumber(order={self.order}, {self})"
 
     def to_json(self) -> dict:
-        return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
+        den, coeffs = self.denominator, []
+        for c in self.numerators:  # str(Fraction(c, den)), from the integers
+            g = gcd(c, den)
+            coeffs.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+        return {"order": self.order, "coeffs": coeffs}
 
 
 # Instances are made without __init__ by filling the slots directly; every

@@ -208,7 +208,7 @@ def qplate_expand(p: Plate, engine=None) -> PlateVector:
     return PlateVector.combine(p.n, p.r, images)
 
 
-def qbasis_matrix(n: int, r: int) -> tuple[list[list[CyclotomicNumber]], list[Plate]]:
+def qbasis_matrix(n: int, r: int) -> tuple[list[list[CyclotomicNumber]], tuple[Plate, ...]]:
     """Row i holds the standard-basis coordinates of the basis q-plate whose
     representative is standard_basis(n, r)[i]."""
     basis = standard_basis(n, r)

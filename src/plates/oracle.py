@@ -250,9 +250,10 @@ def _walk(
     to the row that completes the rank.  If that falls short too and the
     denominator is not pinned, the walk goes on to the next prime's lattice,
     and it ends after a lattice that adds no rank mod P.  A short rank is then
-    recomputed over Q.  At full rank the ``fit`` points have rows independent
-    mod 2 or mod P, hence over Q.  With ``keep_points``, ``points`` is every
-    point of every lattice walked, the last one finished.
+    recounted over Q, unless it equals the number of distinct rows, an upper
+    bound.  At full rank the ``fit`` points have rows independent mod 2 or mod
+    P, hence over Q.  With ``keep_points``, ``points`` is every point of every
+    lattice walked, the last one finished.
     """
     n, r = plates[0].n, plates[0].r
     width = len(plates)
@@ -294,11 +295,14 @@ def _walk(
         if plan.denominator is not None or ech.rank == before:
             break
         d = next_prime_above(d)
-    # short of full rank: the rank mod P is only a lower bound
-    exact = Echelon(width)
-    for row in first_seen:
-        exact.add_row(_unpack(row, width))
-    return RankReport(exact.rank, used, d), [], points
+    # short: the rank over Q lies between the rank mod P and the distinct rows
+    rank = ech.rank
+    if rank < len(first_seen):
+        exact = Echelon(width)
+        for row in first_seen:
+            exact.add_row(_unpack(row, width))
+        rank = exact.rank
+    return RankReport(rank, used, d), [], points
 
 
 def rank_report(plates: Sequence[Plate], plan: SamplePlan) -> RankReport:
@@ -313,9 +317,9 @@ def rank_report(plates: Sequence[Plate], plan: SamplePlan) -> RankReport:
 
 
 # Ranks and inverses run modulo this prime, and every answer is exact before
-# it is returned.  A rank mod P is a lower bound on the rational rank, so only
-# a full rank is returned from it; a short one is recomputed by Fraction
-# elimination.  Each basis inverts its fitted rows mod P once and keeps the
+# it is returned.  A rank mod P is a lower bound on the rational rank, so a
+# short one is recomputed by Fraction elimination unless it equals the count
+# of distinct rows.  Each basis inverts its fitted rows mod P once and keeps the
 # reconstructed inverse only after an exact integer check, falling back to a
 # Fraction inverse (``_scaled_inverse``); a solve then runs one span test.
 _P = (1 << 61) - 1  # Mersenne prime

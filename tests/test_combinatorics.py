@@ -153,7 +153,7 @@ def test_osp_rotation_classes_have_unique_standard_member():
 
 
 def test_partitions_and_class_sizes():
-    assert partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    assert partitions(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
     for n in range(1, 8):
         assert sum(class_size(lam) for lam in partitions(n)) == math.factorial(n)
         for lam in partitions(n):
@@ -174,9 +174,19 @@ def test_representative_has_requested_type():
             assert permutation_with_cycle_type(lam).cycle_type() == lam
 
 
-def test_partitions_list_is_the_callers_own():
+def test_partitions_is_one_shared_tuple():
     first = partitions(5)
-    expected = list(first)
-    first[0] = (9,)
-    first.append(())
-    assert partitions(5) == expected
+    assert isinstance(first, tuple) and partitions(5) is first
+
+
+def test_partitions_by_brute_force():
+    # a partition is a composition with its parts sorted, and a composition
+    # of n is the set of its cuts among 1..n-1
+    assert partitions(0) == ((),)
+    for n in range(1, 11):
+        found = set()
+        for k in range(n):
+            for cuts in itertools.combinations(range(1, n), k):
+                bounds = (0, *cuts, n)
+                found.add(tuple(sorted((b - a for a, b in zip(bounds, bounds[1:])), reverse=True)))
+        assert partitions(n) == tuple(sorted(found, reverse=True))

@@ -221,12 +221,15 @@ def test_public_constructor_and_relabelling_still_check():
         apply_permutation(Permutation.identity(3), parse_plate("[[{1}_1 {2}_1]]"))
 
 
-def test_standard_basis_list_is_the_callers_own():
+def test_standard_basis_is_one_shared_tuple():
     first = standard_basis(3, 3)
-    expected = list(first)
-    first.clear()
-    again = standard_basis(3, 3)
-    assert again == expected and again is not first
+    assert isinstance(first, tuple) and standard_basis(3, 3) is first
+
+
+def test_standard_basis_is_the_standard_plates_in_order():
+    for n in range(1, 7):
+        for r in range(1, 7):
+            assert standard_basis(n, r) == tuple(p for p in all_plates(n, r) if is_standard(p))
 
 
 def test_plates_are_tuple_values():

@@ -13,6 +13,7 @@ from plates.exactnum import (
     q_pow,
     zeta_pow,
 )
+from plates.expansion import qbasis_matrix
 
 
 def poly_mul(a, b):
@@ -162,6 +163,19 @@ def test_text_and_json_forms():
     assert str(x) == "1/2 - 1/2*z"
     assert x.to_json() == {"order": 4, "coeffs": ["1/2", "-1/2"]}
     assert str(CyclotomicNumber.zero(3)) == "0"
+
+
+def test_json_coefficients_are_reduced_fraction_strings():
+    values = [c for row in qbasis_matrix(4, 4)[0] for c in row]
+    assert len(values) == 4096
+    values += [
+        CyclotomicNumber.zero(8),
+        CyclotomicNumber.from_integer_poly(8, [0, -4, 6, 2], 8),  # (0, -1/2, 3/4, 1/4)
+        CyclotomicNumber.from_integer_poly(8, [-6, 0, 3], 3),  # (-2, 0, 1, 0)
+    ]
+    for x in values:
+        coeffs = [str(Fraction(c, x.denominator)) for c in x.numerators]
+        assert x.to_json() == {"order": x.order, "coeffs": coeffs}
 
 
 # ---------------------------------------------------------------------------

@@ -141,8 +141,7 @@ def test_rank_is_exact_when_gf2_accepts_no_row(monkeypatch):
 
 def test_mod_p_replay_finds_rank_that_gf2_misses():
     # real data, nothing patched: at (6, 3) and D = 7 the walked rows have
-    # rank 67 mod 2, so the rank 69 comes from the mod-P replay (and its
-    # exact recount, as 69 < 243 is short)
+    # rank 67 mod 2, so the rank 69 comes from the mod-P replay
     basis, plan = standard_basis(6, 3), SamplePlan(6, 3, denominator=7)
     assert rank_report(basis, plan) == (69, 174, 7)
     tests = [_flag_test(p, plan) for p in basis]
@@ -151,6 +150,39 @@ def test_mod_p_replay_finds_rank_that_gf2_misses():
     for row in rows:
         _gf2_insert(pivots, row)
     assert (len(rows), len(pivots)) == (174, 67)
+
+
+def test_short_rank_equal_to_the_distinct_rows_is_not_recounted(monkeypatch):
+    # the mod-P rank 69 meets the 69 distinct rows, so no exact Echelon is built
+    class ModularEchelon(oracle.Echelon):
+        def __init__(self, width, modulus=None):
+            assert modulus is not None, "exact recount"
+            super().__init__(width, modulus)
+
+    monkeypatch.setattr(oracle, "Echelon", ModularEchelon)
+    assert rank_report(standard_basis(6, 3), SamplePlan(6, 3, denominator=7)) == (69, 174, 7)
+
+
+def test_short_rank_below_the_distinct_rows_is_recounted(monkeypatch):
+    # a modular pass that drops one row leaves rank 68 under 69 distinct
+    # rows, and the exact recount restores 69
+    refused, recounts = [], []
+
+    class LossyEchelon(oracle.Echelon):
+        def __init__(self, width, modulus=None):
+            if modulus is None:
+                recounts.append(width)
+            super().__init__(width, modulus)
+
+        def add_row(self, row):
+            if self.modulus is not None and not refused:
+                refused.append(row)
+                return False
+            return super().add_row(row)
+
+    monkeypatch.setattr(oracle, "Echelon", LossyEchelon)
+    assert rank_report(standard_basis(6, 3), SamplePlan(6, 3, denominator=7)) == (69, 174, 7)
+    assert len(refused) == 1 and recounts == [243]
 
 
 def _pack(row):
