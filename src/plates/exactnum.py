@@ -6,9 +6,10 @@ modulo the r-th cyclotomic polynomial, so every element has a unique
 coefficient vector of length phi(r) and equality is structural.  That vector
 is stored as integer numerators over one positive common denominator in
 lowest terms; the cyclotomic polynomial is monic with integer coefficients,
-so sums and products stay in integers until a coefficient is read.
-Inverses run in integers too, through the field norm.  No floating point is
-used anywhere.
+so sums and products stay in integers, and so do inverses, through the field
+norm.  Text, JSON and hashes read the integers; only ``coeffs`` turns them
+into Fractions, for callers.  Coefficients come in as ints and Fractions
+only: no floating point is used anywhere.
 
 ``Combination`` is the sparse vector type over these fields that plate
 vectors and translation-algebra elements share.
@@ -130,19 +131,11 @@ class CyclotomicNumber:
 
     __slots__ = ("order", "numerators", "denominator")
 
-    def __init__(self, order: int, coeffs: Iterable) -> None:
-        if order < 1:
-            raise ValueError(f"order must be >= 1, got {order}")
-        values = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
-        den = lcm(1, *(c.denominator for c in values if not isinstance(c, int)))
-        nums = [
-            c * den if isinstance(c, int) else c.numerator * (den // c.denominator)
-            for c in values
-        ]
-        nums, den = _lowest_terms(_fold(order, nums), den)
-        _set_order(self, order)
-        _set_numerators(self, nums)
-        _set_denominator(self, den)
+    def __new__(cls, order: int, coeffs: Iterable) -> "CyclotomicNumber":
+        """sum(coeffs[i] * zeta^i) for ints and Fractions; coeffs may have any length."""
+        values = [_rational(c) for c in coeffs]
+        den = lcm(1, *(c.denominator for c in values))
+        return cls.from_integer_poly(order, [c.numerator * (den // c.denominator) for c in values], den)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("CyclotomicNumber is immutable")
@@ -154,10 +147,7 @@ class CyclotomicNumber:
 
     @classmethod
     def from_rational(cls, order: int, value) -> "CyclotomicNumber":
-        if isinstance(value, int):
-            return _build(order, (value,) + _zero(order).numerators[1:], 1)
-        if not isinstance(value, Fraction):
-            value = Fraction(value)
+        value = _rational(value)
         return _build(order, (value.numerator,) + _zero(order).numerators[1:], value.denominator)
 
     @classmethod
@@ -178,7 +168,7 @@ class CyclotomicNumber:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficient vector, as reduced fractions."""
+        """The coefficient vector, as reduced fractions (the package reads the integers)."""
         den = self.denominator
         return tuple(Fraction(c, den) for c in self.numerators)
 
@@ -270,7 +260,7 @@ class CyclotomicNumber:
     def __hash__(self) -> int:
         if self.is_rational():
             return hash(self.to_fraction())
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.numerators, self.denominator))
 
     def is_rational(self) -> bool:
         return not any(self.numerators[1:])
@@ -287,39 +277,32 @@ class CyclotomicNumber:
 
     def __str__(self) -> str:
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
+        for i, c in enumerate(self._coefficient_texts()):
+            if c == "0":
                 continue
-            mon = "1" if i == 0 else ("z" if i == 1 else f"z^{i}")
-            if i == 0:
-                term = str(c)
-            elif c == 1:
-                term = mon
-            elif c == -1:
-                term = f"-{mon}"
-            else:
-                term = f"{c}*{mon}"
-            if parts and not term.startswith("-"):
-                parts.append("+ " + term)
-            elif parts:
-                parts.append("- " + term[1:])
-            else:
-                parts.append(term)
-        return " ".join(parts) if parts else "0"
+            if i:
+                mon = "z" if i == 1 else f"z^{i}"
+                c = mon if c == "1" else f"-{mon}" if c == "-1" else f"{c}*{mon}"
+            parts.append(c if not parts else f"- {c[1:]}" if c[0] == "-" else f"+ {c}")
+        return " ".join(parts) or "0"
 
     def __repr__(self) -> str:
         return f"CyclotomicNumber(order={self.order}, {self})"
 
     def to_json(self) -> dict:
-        den, coeffs = self.denominator, []
-        for c in self.numerators:  # str(Fraction(c, den)), from the integers
+        return {"order": self.order, "coeffs": self._coefficient_texts()}
+
+    def _coefficient_texts(self) -> list[str]:
+        """str(Fraction(c, denominator)) for each numerator c, from the integers."""
+        den, texts = self.denominator, []
+        for c in self.numerators:
             g = gcd(c, den)
-            coeffs.append(str(c // g) if g == den else f"{c // g}/{den // g}")
-        return {"order": self.order, "coeffs": coeffs}
+            texts.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+        return texts
 
 
-# Instances are made without __init__ by filling the slots directly; every
-# caller hands over numerators and a denominator already in lowest terms.
+# _build is the one writer of a number's slots; every caller hands over
+# numerators and a denominator already in lowest terms.
 _set_order = CyclotomicNumber.order.__set__
 _set_numerators = CyclotomicNumber.numerators.__set__
 _set_denominator = CyclotomicNumber.denominator.__set__
@@ -340,6 +323,13 @@ def _lowest_terms(numerators: list[int], denominator: int) -> tuple[tuple[int, .
         if g != 1:
             return tuple(c // g for c in numerators), denominator // g
     return tuple(numerators), denominator
+
+
+def _rational(value) -> int | Fraction:
+    """An int or a Fraction, as it is; any other type, a float above all, is refused."""
+    if isinstance(value, (int, Fraction)):
+        return value
+    raise TypeError(f"a rational coefficient must be an int or a Fraction, not {type(value).__name__}")
 
 
 @lru_cache(maxsize=256)

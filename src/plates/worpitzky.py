@@ -45,7 +45,12 @@ def derive_hypersimplex_characters(n: int) -> list[ClassFunction]:
     """chi_B(a) for a = 1..n-1: at each cycle type lam, the t^a coefficient of P_lam."""
     if n < 2:
         raise ValueError("need n >= 2")
-    series = {lam: _series(lam, n - 1) for lam in partitions(n)}
+    return _hypersimplex(n, {lam: _series(lam, n - 1) for lam in partitions(n)})
+
+
+def _hypersimplex(n: int, series: dict) -> list[ClassFunction]:
+    """The t^1..t^{n-1} coefficients of the series of every cycle type, which
+    run to any degree >= n - 1: a coefficient reads only the counts below it."""
     return [ClassFunction.from_dict(n, {lam: p[a] for lam, p in series.items()}) for a in range(1, n)]
 
 
@@ -84,8 +89,8 @@ def verify_categorified_worpitzky(n: int, r_max: int) -> WorpitzkyReport:
     dimensions and multiplicities."""
     if n < 2 or r_max < n:
         raise ValueError("need n >= 2 and r_max >= n")
-    chis = derive_hypersimplex_characters(n)
     series = {lam: _series(lam, r_max) for lam in partitions(n)}
+    chis = _hypersimplex(n, series)
     failures: list[str] = []
     classical_ok = residuals_ok = multiplicities_ok = True
     for r in range(1, r_max + 1):

@@ -5,7 +5,10 @@ needs none of them.
 symmetric-power route to the hypersimplex characters, the cross-check of the
 series route in ``plates.worpitzky``.  ``trivial_multiplicity_series`` averages
 the gcd closed form over the classes.  ``product_idempotent`` expands an
-idempotent's product form, the cross-check of its closed form.  The rest
+idempotent's product form, the cross-check of its closed form.
+``cyclotomic_text`` writes a cyclotomic number's text form from its
+``Fraction`` coefficients, the cross-check of ``CyclotomicNumber.__str__``,
+which reads the integers.  The rest
 build test inputs: every permutation, every lumping of a plate, one
 translation-algebra monomial and the basis exponent vectors."""
 
@@ -111,3 +114,27 @@ def trivial_multiplicity_series(n: int, r_max: int) -> list[int]:
         assert rem == 0, "trivial multiplicity must be an integer"
         out.append(q)
     return out
+
+
+def cyclotomic_text(coeffs) -> str:
+    """The text form of sum(coeffs[i] * z^i) for a vector of Fractions."""
+    parts = []
+    for i, c in enumerate(coeffs):
+        if not c:
+            continue
+        mon = "1" if i == 0 else ("z" if i == 1 else f"z^{i}")
+        if i == 0:
+            term = str(c)
+        elif c == 1:
+            term = mon
+        elif c == -1:
+            term = f"-{mon}"
+        else:
+            term = f"{c}*{mon}"
+        if parts and not term.startswith("-"):
+            parts.append("+ " + term)
+        elif parts:
+            parts.append("- " + term[1:])
+        else:
+            parts.append(term)
+    return " ".join(parts) if parts else "0"

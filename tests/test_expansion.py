@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from plates import expansion
 from plates.combinatorics import (
     Permutation,
     enumerate_compositions,
@@ -209,6 +210,72 @@ def test_vector_action_is_homomorphism():
         s = Permutation(tuple(rng.sample(range(1, n + 1), n)))
         t = Permutation(tuple(rng.sample(range(1, n + 1), n)))
         assert act(s * t, v) == act(s, act(t, v))
+
+
+@pytest.mark.parametrize("n, r", [(6, 3), (7, 3)])
+def test_vector_action_is_homomorphism_on_generators(n, r):
+    # on a standard plate v = p this is the equivariance law of the merge rule,
+    # expand(s . (t . p)) = s . expand(t . p), with no solve behind it
+    gens = (parse_permutation("(1 2)", n), Permutation(tuple(range(2, n + 1)) + (1,)))
+    for p in standard_basis(n, r):
+        v = PlateVector(n, r, {p: 1})
+        for s, t in itertools.product(gens, repeat=2):
+            assert act(s * t, v) == act(s, act(t, v))
+
+
+# ---------------------------------------------------------------------------
+# the cyclic-sum law: a plate's rotations sum to the one-lump plate
+
+
+def rotation_sum_failures(n, r):
+    """The standard plates p whose expanded rotations do not sum to the
+    one-lump plate; each rotation class has exactly one standard member."""
+    whole = expand(Plate(n, (tuple(range(1, n + 1)),), (r,)))
+    return [
+        p
+        for p in standard_basis(n, r)
+        if PlateVector.combine(n, r, ((1, expand(rotate(p, t))) for t in range(p.k))) != whole
+    ]
+
+
+@pytest.mark.parametrize("n, r", [(6, 3), (7, 3)])
+def test_rotations_sum_to_the_one_lump_plate(n, r):
+    assert rotation_sum_failures(n, r) == []
+
+
+def merge_rule(lead_takes_b, max_b):
+    """``expansion._merged_runs`` with two knobs: whether the leading lump may
+    take B-lumps, and how many B-lumps one lump may hold.  (False, 1) is the
+    rule itself."""
+
+    def runs(a_pairs, b_pairs, first):
+        if not a_pairs and not b_pairs:
+            yield ()
+            return
+        for take in range(1 if first else 0, len(a_pairs) + 1):
+            most_b = max_b if lead_takes_b or not first else 0
+            for held in range(0 if take else 1, min(most_b, len(b_pairs)) + 1):
+                lump = expansion._fuse(a_pairs[:take] + b_pairs[:held])
+                for tail in runs(a_pairs[take:], b_pairs[held:], False):
+                    yield (lump,) + tail
+
+    return runs
+
+
+@pytest.mark.parametrize(
+    "lead_takes_b, max_b, wrong",
+    [(False, 1, 0), (True, 1, 63), (False, 2, 42)],
+    ids=["the rule", "leading lump takes a B-lump", "a lump holds two B-lumps"],
+)
+def test_cyclic_sum_law_catches_wrong_merge_rules(monkeypatch, lead_takes_b, max_b, wrong):
+    monkeypatch.setattr(expansion, "_merged_runs", merge_rule(lead_takes_b, max_b))
+    expand.cache_clear()
+    try:
+        failures = rotation_sum_failures(4, 4)
+    finally:
+        monkeypatch.undo()
+        expand.cache_clear()
+    assert len(failures) == wrong  # of the 64 standard plates
 
 
 def test_qplate_action_is_the_expansion_of_the_moved_plate():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -194,7 +195,7 @@ def _elements(st):
     negative, fractional and above-2^64 numerators."""
     big = st.integers(-(2**80), 2**80)
     small = st.fractions(min_value=-9, max_value=9, max_denominator=12)
-    scalar = st.one_of(big, small, big.map(lambda a: a / 7))
+    scalar = st.one_of(big, small, big.map(lambda a: Fraction(a, 7)))
 
     def draw(nr):
         n, r = nr

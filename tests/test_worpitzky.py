@@ -1,8 +1,10 @@
+from collections import Counter
+
 import pytest
 
 from plates import worpitzky
 from plates.characters import irreducible_dimension, multiplicities
-from plates.combinatorics import eulerian
+from plates.combinatorics import eulerian, partitions
 from plates.worpitzky import (
     classical_worpitzky_check,
     derive_hypersimplex_characters,
@@ -87,6 +89,23 @@ def test_wrong_count_below_n_fails_an_audit(monkeypatch, lam, r, audit):
     report = verify_categorified_worpitzky(4, 8)
     assert getattr(report, audit) is False
     assert not report.ok
+
+
+def test_each_cycle_type_series_is_built_once(monkeypatch):
+    # the hypersimplex characters are the low coefficients of the r_max series
+    calls = Counter()
+    right = worpitzky.diophantine_count
+
+    def counting(lam, r):
+        calls[lam] += 1
+        return right(lam, r)
+
+    monkeypatch.setattr(worpitzky, "diophantine_count", counting)
+    assert verify_categorified_worpitzky(7, 14).ok
+    assert calls == {lam: 14 for lam in partitions(7)}
+    calls.clear()
+    derive_hypersimplex_characters(5)
+    assert calls == {lam: 4 for lam in partitions(5)}
 
 
 def test_report_overdetermined_range():
