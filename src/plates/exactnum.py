@@ -164,6 +164,10 @@ class CyclotomicNumber:
         positive integer denominator; poly may have any length."""
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
+        if type(denominator) is not int or not all(type(c) is int for c in poly):
+            raise TypeError("numerators and denominator must be ints")
+        if denominator < 1:
+            raise ValueError(f"denominator must be >= 1, got {denominator}")
         return _build(order, *_lowest_terms(_fold(order, poly), denominator))
 
     @property

@@ -1,11 +1,13 @@
-"""Dense exact linear algebra: one reduced row-echelon kernel, taken either
+"""Exact linear algebra: one dense reduced row-echelon kernel, taken either
 modulo a prime or over an exact field whose elements support Python
-arithmetic operators and truthiness (Fraction, CyclotomicNumber)."""
+arithmetic operators and truthiness (Fraction, CyclotomicNumber), and one
+sparse fraction-free inverse of an integer matrix."""
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 
@@ -79,18 +81,49 @@ class Echelon:
         return False
 
 
-def inverse(matrix: Sequence[Sequence], modulus: int | None = None) -> list[list] | None:
-    """Inverse of a square matrix, mod a prime or exact; None when singular.
+SparseRows = list[list[tuple[int, int]]]  # integer rows of (column, entry) pairs
 
-    [M | I] is put in reduced echelon form one row at a time.  Row i of it
-    lands its pivot in the identity half exactly when row i of M depends on
-    the rows before it; otherwise every pivot is in the left half, and the
-    right halves of the rows in pivot order are the rows of the inverse.
+
+def scaled_inverse(matrix: Sequence[Sequence[int]]) -> tuple[int, SparseRows] | None:
+    """(L, X) with M * X = L * I for the least L > 0, for a square integer
+    matrix M; None when M is singular.  X is given as sparse rows of
+    (column, entry) pairs in column order.
+
+    Fraction-free Gauss-Jordan (Bareiss) on sparse rows of [M | I]: at step k
+    every other row becomes (a_kk * row - a_ik * row_k) / prev, where prev is
+    the previous pivot, and the division is exact, as every entry is, up to
+    sign, a minor of [M | I].  Each pivot is the row with the fewest nonzeros
+    among those that can serve, which keeps the fill low, negated if need be so
+    that the pivot is positive: a pivot equal to prev leaves the rows without
+    a_ik as they are, and the solver's 0/1 matrices have mostly pivots of 1.
+    The left half ends as d * I with d = |det M|, so the right half is
+    d * M^-1, and L = d / gcd(d, its entries).
     """
     m = len(matrix)
-    ech = Echelon(2 * m, modulus)
-    for i, row in enumerate(matrix):
-        ech.add_row([*row, *(1 if j == i else 0 for j in range(m))])
-        if ech.pivots[-1] >= m:
+    rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
+    for i, row in enumerate(rows):
+        row[m + i] = 1
+    prev = 1
+    for k in range(m):
+        p = min((i for i in range(k, m) if k in rows[i]), key=lambda i: len(rows[i]), default=None)
+        if p is None:
             return None
-    return [row[m:] for _, row in sorted(zip(ech.pivots, ech.rows))]
+        pivot_row = rows[p]
+        if pivot_row[k] < 0:
+            pivot_row = {j: -v for j, v in pivot_row.items()}
+        rows[p], rows[k] = rows[k], pivot_row
+        pivot = pivot_row[k]
+        for i, row in enumerate(rows):
+            if i == k:
+                continue
+            c = row.get(k)
+            if c:
+                new = {j: pivot * v for j, v in row.items()}
+                for j, v in pivot_row.items():
+                    new[j] = new.get(j, 0) - c * v
+                rows[i] = {j: v // prev for j, v in new.items() if v}
+            elif pivot != prev:
+                rows[i] = {j: pivot * v // prev for j, v in row.items()}
+        prev = pivot
+    g = gcd(prev, *(v for row in rows for j, v in row.items() if j >= m))
+    return prev // g, [sorted((j - m, v // g) for j, v in row.items() if j >= m) for row in rows]

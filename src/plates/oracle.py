@@ -5,11 +5,11 @@ the closed regions, so every check here happens at *generic* rational points:
 points of the simplex slice where no proper subset of coordinates sums to an
 integer.  Ranks and solves walk every generic point of a prime denominator in
 a fixed order, moving on to larger primes while the rank is short; a basis
-inverts its rows at the fitted points once, checked exactly, and each solve
-is tested against the span at every walked point.  Identity checks draw up to
-``_CHECK_POINTS`` distinct points of the plan's lattice by a seeded random
-descent of the same tree.  So runs are reproducible, and every rank and
-solve returned is exact over the rationals.
+inverts its rows at the fitted points once, exactly in integers, and each
+solve is tested against the span at every walked point.  Identity checks
+draw up to ``_CHECK_POINTS`` distinct points of the plan's lattice by a
+seeded random descent of the same tree.  So runs are reproducible, and every
+rank and solve returned is exact over the rationals.
 
 Every point is a/D with integer numerators a summing to r*D, so a
 plate is evaluated there by integer comparisons against the subset-sums of a
@@ -24,10 +24,10 @@ from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import gcd, isqrt, lcm
+from math import isqrt
 
 from .core import Plate
-from .linalg import Echelon, inverse
+from .linalg import Echelon, scaled_inverse
 
 FlagTest = tuple[tuple[int, int], ...]
 
@@ -316,74 +316,16 @@ def rank_report(plates: Sequence[Plate], plan: SamplePlan) -> RankReport:
     return _walk(plates, plan)[0]
 
 
-# Ranks and inverses run modulo this prime, and every answer is exact before
-# it is returned.  A rank mod P is a lower bound on the rational rank, so a
-# short one is recomputed by Fraction elimination unless it equals the count
-# of distinct rows.  Each basis inverts its fitted rows mod P once and keeps the
-# reconstructed inverse only after an exact integer check, falling back to a
-# Fraction inverse (``_scaled_inverse``); a solve then runs one span test.
+# Ranks run modulo this prime, and every rank is exact before it is returned:
+# a rank mod P is a lower bound on the rational rank, so a short one is
+# recomputed by Fraction elimination unless it equals the count of distinct
+# rows.
 _P = (1 << 61) - 1  # Mersenne prime
-
-
-def _rational_reconstruct(c: int) -> Fraction | None:
-    """Smallest fraction a/b with a = b*c mod P (Wang's algorithm)."""
-    bound = isqrt(_P // 2)
-    r0, r1 = _P, c % _P
-    s0, s1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if s1 == 0 or abs(s1) > bound or gcd(r1, s1) != 1:
-        return None
-    return Fraction(r1, s1)
-
-
-SparseRows = list[list[tuple[int, int]]]  # integer rows of (column, entry) pairs
-
-
-def _scaled(inv: Sequence[Sequence[Fraction]]) -> tuple[int, SparseRows]:
-    """(L, L * inv) for the least common denominator L of the entries."""
-    scale = lcm(*{v.denominator for row in inv for v in row if v})
-    return scale, [
-        [(k, v.numerator * (scale // v.denominator)) for k, v in enumerate(row) if v] for row in inv
-    ]
-
-
-def _is_scaled_inverse(rows: Sequence[int], scale: int, scaled: SparseRows) -> bool:
-    """M * X == L * I in integers, where M's 0/1 rows are packed into ints:
-    row i of M * X sums the rows of X at the set bits of M's row i."""
-    for i, row in enumerate(rows):
-        product = [0] * len(rows)
-        product[i] = -scale
-        while row:
-            low = row & -row
-            for k, x in scaled[low.bit_length() - 1]:
-                product[k] += x
-            row ^= low
-        if any(product):
-            return False
-    return True
-
-
-def _scaled_inverse(rows: Sequence[int], width: int) -> tuple[int, SparseRows]:
-    """(L, X = L * M^-1) for the invertible 0/1 matrix M whose rows are packed
-    into ``rows``.  M^-1 is reconstructed entry by entry from its inverse mod
-    P and kept only when M * X = L * I holds exactly; otherwise (no inverse
-    mod P, an entry that does not reconstruct, a failed check) it is computed
-    over Q."""
-    matrix = [_unpack(row, width) for row in rows]
-    entries = [[v and _rational_reconstruct(v) for v in row] for row in inverse(matrix, _P) or ()]
-    if entries and not any(v is None for row in entries for v in row):
-        scale, scaled = _scaled(entries)
-        if _is_scaled_inverse(rows, scale, scaled):
-            return scale, scaled
-    return _scaled(inverse(matrix))  # the fitted rows are independent
 
 
 class _BasisSolver:
     """Solves over one basis: the basis rows at the ``fit`` points of the walk
-    form an invertible matrix M, kept as X = L * M^-1 (``_scaled_inverse``)."""
+    form an invertible matrix M, kept as X = L * M^-1 (``scaled_inverse``)."""
 
     def __init__(self, basis: tuple[Plate, ...], plan: SamplePlan) -> None:
         dim = len(basis)
@@ -394,7 +336,10 @@ class _BasisSolver:
                 f"up to denominator {report.denominator}: the plates are a.e. dependent, or "
                 "that denominator cannot reach all their chambers"
             )
-        self.scale, self.inverse = _scaled_inverse([row for *_, row in self.fit], dim)
+        scaled = scaled_inverse([_unpack(row, dim) for *_, row in self.fit])
+        if scaled is None:  # the fitted rows are independent over Q
+            raise RuntimeError("the fitted basis rows are singular")
+        self.scale, self.inverse = scaled
         # points may come from two primes, so targets get one flag test per D
         self.lattice_plans = [plan._replace(denominator=d) for d in sorted({v[1] for v in points})]
         # every walked point tests the span: the few points after the fit

@@ -174,6 +174,20 @@ def test_constructors_take_only_ints_and_fractions(value):
             build()
 
 
+@pytest.mark.parametrize(
+    "poly,den", [([0.5], 1), ([1, Fraction(1, 2)], 1), ([1, 2], 2.0), ([1, 2], Fraction(2))]
+)
+def test_integer_poly_takes_only_ints(poly, den):
+    with pytest.raises(TypeError, match="must be ints"):
+        CyclotomicNumber.from_integer_poly(3, poly, den)
+
+
+@pytest.mark.parametrize("den", [0, -2])
+def test_integer_poly_takes_only_a_positive_denominator(den):
+    with pytest.raises(ValueError, match="denominator must be >= 1"):
+        CyclotomicNumber.from_integer_poly(3, [1, 1], den)
+
+
 def test_text_json_and_hash_read_the_integers(monkeypatch):
     def no_view(self):
         raise AssertionError("read the Fraction view")

@@ -1,9 +1,11 @@
-"""The reduced-echelon kernel, mod a prime and exact, against the reference
-inverse in matrix_helpers and against each other."""
+"""The reduced-echelon kernel, mod a prime and exact, and the fraction-free
+inverse, against the reference inverse in matrix_helpers and against each
+other; and every cached basis solver's inverse, checked in integers."""
 
 import argparse
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -13,7 +15,7 @@ from plates.characters import ENGINES, character
 from plates.cli import build_parser
 from plates.core import all_plates, standard_basis
 from plates.expansion import qbasis_matrix
-from plates.linalg import Echelon, inverse
+from plates.linalg import Echelon, scaled_inverse
 from plates.oracle import SamplePlan, solve_in_basis
 
 P = (1 << 61) - 1
@@ -48,22 +50,58 @@ def test_rank_mod_p_equals_rank_over_q_for_01_matrices():
             assert (exact < width) == (singular is None), rows
 
 
+def _reference_scaled_inverse(matrix):
+    """(L, L * M^-1) as sparse rows from matrix_helpers' Fraction inverse, or None."""
+    inv = invert([[Fraction(v) for v in row] for row in matrix], Fraction(0), Fraction(1))
+    if inv is None:
+        return None
+    scale = lcm(*(v.denominator for row in inv for v in row))
+    return scale, [
+        [(k, v.numerator * scale // v.denominator) for k, v in enumerate(row) if v] for row in inv
+    ]
+
+
 def test_inverse_against_reference():
     rng = random.Random(61)
-    tried = 0
-    while tried < 150:
+    singular = scaled = 0
+    for trial in range(600):
+        if trial % 2:
+            m = rng.randint(1, 6)
+            matrix = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
+        else:
+            matrix = _random_01(rng, *[rng.randint(1, 8)] * 2)
+        # the matrix with its first and last rows swapped has the opposite
+        # determinant, so both signs are checked
+        swapped = [matrix[-1], *matrix[1:-1], matrix[0]] if len(matrix) > 1 else matrix
+        for rows in (matrix, swapped):
+            want = _reference_scaled_inverse(rows)
+            assert scaled_inverse(rows) == want, rows
+            singular += want is None
+            scaled += want is not None and want[0] > 1
+    assert singular and scaled
+
+
+def test_echelon_reduces_m_beside_i_to_the_inverse():
+    # reducing [M | I] leaves M^-1 in the right half: over Q in Fractions,
+    # never floats, though M is given in ints, and mod P an inverse mod P
+    rng = random.Random(62)
+    for _ in range(150):
         m = rng.randint(1, 6)
         matrix = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
         want = invert([[Fraction(v) for v in row] for row in matrix], Fraction(0), Fraction(1))
         if want is None:
             continue
-        tried += 1
-        # exact mode on an int matrix: Fractions throughout, never floats
-        assert inverse(matrix) == want, matrix
-        mod = inverse(matrix, P)
-        product = mat_mul(mod, matrix, 0)
         identity = [[int(i == j) for j in range(m)] for i in range(m)]
-        assert [[v % P for v in row] for row in product] == identity, matrix
+        for modulus in (None, P):
+            ech = Echelon(2 * m, modulus)
+            for row, unit in zip(matrix, identity):
+                ech.add_row([*row, *unit])
+            inv = [row[m:] for _, row in sorted(zip(ech.pivots, ech.rows))]
+            if modulus is None:
+                assert inv == want and all(type(v) is Fraction for row in inv for v in row), matrix
+            else:
+                product = mat_mul(inv, matrix, 0)
+                assert [[v % P for v in row] for row in product] == identity, matrix
 
 
 @pytest.mark.parametrize(
@@ -76,8 +114,7 @@ def test_inverse_against_reference():
     ],
 )
 def test_singular_matrix_has_no_inverse(matrix):
-    assert inverse(matrix) is None
-    assert inverse(matrix, P) is None
+    assert scaled_inverse(matrix) is None
 
 
 @pytest.mark.parametrize("n,r", [(2, 3), (3, 3)])
@@ -101,63 +138,23 @@ def test_engine_table_drives_the_cli_and_agrees():
             assert character(name, n, r) == want, name
 
 
-def _record_inverses(monkeypatch, change=lambda inv: inv):
-    """Route the oracle's inverses through ``change``, applied to modular ones
-    only, and return the list of moduli they were asked for."""
-    moduli = []
-
-    def recording(matrix, modulus=None):
-        moduli.append(modulus)
-        inv = inverse(matrix, modulus)
-        return inv if modulus is None else change(inv)
-
-    monkeypatch.setattr(oracle, "inverse", recording)
+@pytest.mark.parametrize("n,r", [(3, 3), (3, 4), (4, 3), (3, 5), (6, 2)])
+def test_every_cached_solver_keeps_a_scaled_inverse(n, r):
+    # the solver trusts its inverse, so M * X = L * I is checked here, in
+    # integers, for the fitted rows M of the basis that every solve used
+    basis = tuple(standard_basis(n, r))
+    plan = SamplePlan(n, r)
     oracle._solver.cache_clear()
-    return moduli
-
-
-def _solve_all(n, r):
-    basis = standard_basis(n, r)
-    return [solve_in_basis(t, basis, SamplePlan(n, r)) for t in all_plates(n, r)]
-
-
-def test_every_basis_keeps_its_modular_inverse(monkeypatch):
-    # without this a broken modular inverse would pass unseen: every solve
-    # would still come out right from the exact inverse
-    slices = [(3, 3), (3, 4), (4, 3), (3, 5), (6, 2)]
-    moduli = _record_inverses(monkeypatch)
-    for n, r in slices:
-        _solve_all(n, r)
-    assert moduli == [P] * len(slices)
-
-
-def _plus_one(inv):
-    inv[0][0] = (inv[0][0] + 1) % P
-    return inv
-
-
-def _unreconstructible(inv):
-    inv[-1][-1] = 2**40 + 12345
-    assert oracle._rational_reconstruct(inv[-1][-1]) is None
-    return inv
-
-
-@pytest.mark.parametrize("change", [_plus_one, _unreconstructible])
-def test_a_wrong_modular_inverse_is_rejected(monkeypatch, change):
-    # a modular inverse is kept only when every entry reconstructs and the
-    # integer check M * X = L * I holds: one wrong entry must be caught and
-    # the exact inverse used
-    slices = [(3, 3), (6, 2)]
-    oracle._solver.cache_clear()
-    want = [_solve_all(n, r) for n, r in slices]
-    moduli = _record_inverses(monkeypatch, change)
-    assert [_solve_all(n, r) for n, r in slices] == want
-    assert moduli == [P, None] * len(slices)  # built once per cached solver
-
-
-def test_a_singular_modular_inverse_takes_the_exact_path(monkeypatch):
-    oracle._solver.cache_clear()
-    want = _solve_all(3, 3)
-    moduli = _record_inverses(monkeypatch, lambda inv: None)
-    assert _solve_all(3, 3) == want
-    assert moduli == [P, None]
+    for target in all_plates(n, r):
+        solve_in_basis(target, basis, plan)
+    solver = oracle._solver(basis, plan)
+    assert oracle._solver.cache_info().misses == 1
+    m = len(basis)
+    matrix = [oracle._unpack(row, m) for *_, row in solver.fit]
+    scaled = [[0] * m for _ in range(m)]
+    for i, row in enumerate(solver.inverse):
+        for k, x in row:
+            scaled[i][k] = x
+    identity = [[int(i == j) for j in range(m)] for i in range(m)]
+    assert mat_mul(matrix, scaled, 0) == [[solver.scale * v for v in row] for row in identity]
+    assert (solver.scale, solver.inverse) == _reference_scaled_inverse(matrix)

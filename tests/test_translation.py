@@ -180,13 +180,27 @@ def test_partition_of_unity(n, r):
 
 
 def test_partition_of_unity_sampled_mode(monkeypatch):
-    # force the sampled-pair path with a tiny cap; the algebra stays small
-    monkeypatch.setattr(translation, "_EXHAUSTIVE_CAP", 4)
-    monkeypatch.setattr(translation, "_SAMPLE_PAIRS", 20)
+    # a cap below r^n = 27 forces the sampled pair check, which is otherwise
+    # reached only above r^n = 4096: 64 of the 72 ordered pairs at (3, 3)
+    monkeypatch.setattr(translation, "_EXHAUSTIVE_CAP", 8)
     ok, details = verify_partition_of_unity(3, 3)
     assert ok, details
-    assert details["pair_mode"] == "sampled"
-    assert details["checked_pairs"] == 20
+    assert details == {"labels": 9, "pair_mode": "sampled", "checked_pairs": 64, "failures": []}
+    assert verify_partition_of_unity(3, 3) == (ok, details)
+
+    # the identity in place of one idempotent fails orthogonality against
+    # all 8 others, so 16 ordered pairs fail and the sample must meet some
+    broken = admissible_labels(3, 3)[0]
+    build = translation.idempotent
+
+    def idempotent(label, r):
+        return one(3, r) if tuple(label) == broken else build(label, r)
+
+    monkeypatch.setattr(translation, "idempotent", idempotent)
+    ok, details = verify_partition_of_unity(3, 3)
+    caught = [f for f in details["failures"] if f.startswith("orthogonality fails")]
+    assert not ok and details["pair_mode"] == "sampled"
+    assert caught and all(str(broken) in f for f in caught)
 
 
 def _elements(st):
